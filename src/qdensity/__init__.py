@@ -8,7 +8,7 @@ well modes (:mod:`qdensity.numerics`), numeric field operations
 (:mod:`qdensity.cli`).
 """
 
-from . import cli, dims, experiment, fieldops, numerics, symexpr
+from . import dims, experiment, fieldops, numerics, symexpr
 
-__all__ = ["cli", "dims", "experiment", "fieldops", "numerics", "symexpr"]
+__all__ = ["dims", "experiment", "fieldops", "numerics", "symexpr"]
 __version__ = "0.1.0"

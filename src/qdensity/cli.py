@@ -448,9 +448,9 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _experiment_config(args: argparse.Namespace) -> experiment.ExperimentConfig:
-    file_cfg = load_config(args.config) if args.config else {}
-
+def _experiment_config(
+    args: argparse.Namespace, file_cfg: Dict[str, str]
+) -> experiment.ExperimentConfig:
     def pick(flag_value, key: str, cast, default):
         if flag_value is not None:
             return flag_value
@@ -506,12 +506,18 @@ def run(args: argparse.Namespace) -> int:
     else:
         suites = [args.command]
 
+    try:
+        file_cfg = load_config(args.config) if args.config else {}
+    except (OSError, ValueError) as err:
+        print(f"error: cannot read config: {err}", file=sys.stderr)
+        return 2
+
     all_checks: List[Check] = []
     report: dict = {"command": args.command, "suites": []}
     csv_rows = [["suite", "check", "passed", "detail"]]
     for suite in suites:
         if suite == "orthogonality":
-            config = _experiment_config(args)
+            config = _experiment_config(args, file_cfg)
             checks, exp_report = orthogonality_checks(config)
             suite_dict = {
                 "suite": suite,

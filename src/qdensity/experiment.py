@@ -253,7 +253,7 @@ class ExperimentReport:
 
 def _sweep_on_grid(
     config: ExperimentConfig, grid: BallGrid
-) -> Tuple[complex, list, float, float]:
+) -> Tuple[complex, list, KGState, KGState]:
     state0 = normalize_kg_state(
         well_state(0, 0, grid, config.mass, config.sigma), grid
     )
@@ -267,7 +267,7 @@ def _sweep_on_grid(
         values.append(
             potential_term(state0, state1, grid, v, config.e, t=config.t)
         )
-    return i01, values, abs(state0.norm), abs(state1.norm)
+    return i01, values, state0, state1
 
 
 def run_orthogonality_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -283,8 +283,9 @@ def run_orthogonality_experiment(config: ExperimentConfig) -> ExperimentReport:
         config.R, config.n_panels, config.order, config.n_theta, config.n_phi
     )
     fine = coarse.refined(2)
-    i01_c, u_c, _n0, _n1 = _sweep_on_grid(config, coarse)
-    i01_f, u_f, norm0, norm1 = _sweep_on_grid(config, fine)
+    i01_c, u_c, _s0, _s1 = _sweep_on_grid(config, coarse)
+    i01_f, u_f, state0, state1 = _sweep_on_grid(config, fine)
+    norm0, norm1 = abs(state0.norm), abs(state1.norm)
 
     entries = []
     for d, uc, uf in zip(config.d_values, u_c, u_f):
@@ -300,8 +301,6 @@ def run_orthogonality_experiment(config: ExperimentConfig) -> ExperimentReport:
             abs(a.u) > abs(b.u) for a, b in zip(by_d[:-1], by_d[1:])
         )
 
-    mode0 = solve_well_mode(0, config.R, config.mass)
-    mode1 = solve_well_mode(1, config.R, config.mass)
     parameters = {
         "R": config.R,
         "mass": config.mass,
@@ -319,8 +318,8 @@ def run_orthogonality_experiment(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         parameters=parameters,
         sign_convention=SIGN_CONVENTION,
-        omega0=mode0.omega,
-        omega1=mode1.omega,
+        omega0=state0.omega,
+        omega1=state1.omega,
         norm0=norm0,
         norm1=norm1,
         i01=i01_f,

@@ -341,8 +341,6 @@ def divergence_residual(
         lower = np.take(f, range(0, f.shape[axis] - 2), axis=axis)
         return (upper - lower) / (2.0 * h)
 
-    interior = tuple(slice(1, -1) for _ in range(4))
-
     def crop(f: np.ndarray, axis: int) -> np.ndarray:
         # central() already trimmed `axis`; trim the other three
         slices = [slice(1, -1)] * 4

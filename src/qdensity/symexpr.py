@@ -1,9 +1,10 @@
 """Minimal expression trees for field Lagrangians and densities.
 
 Expressions are kept permanently in canonical form: a sum of monomials,
-each monomial a sorted tuple of factors with an exact complex-rational
-coefficient.  A factor is a symbol (field, potential or constant) together
-with the sorted multi-index of partial derivatives applied to it, so
+each monomial a sorted tuple of factors with an exact nonzero
+complex-rational coefficient.  Canonical form is established in
+``_collect`` alone.  A factor is a symbol (field, potential or constant)
+together with the sorted multi-index of partial derivatives applied to it, so
 ``d0(phi)`` and ``d00(phi)`` are distinct atoms.  This is just enough
 structure to differentiate Lagrangians, form Euler-Lagrange equations and
 Legendre transforms, classify the highest time-derivative terms, and decide
@@ -17,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 Factor = Tuple[str, Tuple[int, ...]]
 Monomial = Tuple[Factor, ...]
@@ -74,11 +75,8 @@ class ExactComplex:
         return complex(self.re) + 1j * complex(self.im)
 
     def __str__(self) -> str:
-        def frac(x: Fraction) -> str:
-            return str(x)
-
         if self.im == 0:
-            return frac(self.re)
+            return str(self.re)
         if self.re == 0:
             if self.im == 1:
                 return "i"
@@ -90,7 +88,7 @@ class ExactComplex:
         sign = "+" if self.im > 0 else "-"
         mag = abs(self.im)
         imag = "i" if mag == 1 else f"{mag}i"
-        return f"({frac(self.re)}{sign}{imag})"
+        return f"({self.re}{sign}{imag})"
 
 
 ONE = ExactComplex(Fraction(1), Fraction(0))
@@ -116,12 +114,9 @@ class FieldExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, ExactComplex] | None = None):
-        cleaned: Dict[Monomial, ExactComplex] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if not coeff.is_zero:
-                    cleaned[mono] = coeff
-        self.terms = cleaned
+        self.terms: Dict[Monomial, ExactComplex] = {
+            mono: coeff for mono, coeff in (terms or {}).items() if not coeff.is_zero
+        }
 
     # ----- construction helpers ------------------------------------------
 
@@ -147,11 +142,7 @@ class FieldExpr:
     # ----- ring operations -------------------------------------------------
 
     def __add__(self, other: "FieldExpr") -> "FieldExpr":
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono)
-            terms[mono] = coeff if acc is None else acc + coeff
-        return FieldExpr(terms)
+        return _collect(other.terms.items(), dict(self.terms))
 
     def __sub__(self, other: "FieldExpr") -> "FieldExpr":
         return self + (-other)
@@ -162,14 +153,11 @@ class FieldExpr:
     def __mul__(self, other: Union["FieldExpr", ScalarLike]) -> "FieldExpr":
         if not isinstance(other, FieldExpr):
             other = FieldExpr.scalar(other)
-        terms: Dict[Monomial, ExactComplex] = {}
-        for mono_a, ca in self.terms.items():
-            for mono_b, cb in other.terms.items():
-                mono = tuple(sorted(mono_a + mono_b))
-                coeff = ca * cb
-                acc = terms.get(mono)
-                terms[mono] = coeff if acc is None else acc + coeff
-        return FieldExpr(terms)
+        return _collect(
+            (tuple(sorted(mono_a + mono_b)), ca * cb)
+            for mono_a, ca in self.terms.items()
+            for mono_b, cb in other.terms.items()
+        )
 
     def __rmul__(self, other: ScalarLike) -> "FieldExpr":
         return self * other
@@ -210,6 +198,28 @@ class FieldExpr:
         return f"FieldExpr({canonical_text(self)!r})"
 
 
+def _collect(
+    pairs: Iterable[Tuple[Monomial, ExactComplex]],
+    start: Dict[Monomial, ExactComplex] | None = None,
+) -> FieldExpr:
+    """Sum the coefficients of equal monomials into a canonical expression.
+
+    Every monomial in ``pairs`` must already be a sorted tuple.  ``start``
+    seeds the sum and is consumed; zero coefficients are dropped at the end.
+    """
+    terms = {} if start is None else start
+    for mono, coeff in pairs:
+        acc = terms.get(mono)
+        terms[mono] = coeff if acc is None else acc + coeff
+    return FieldExpr(terms)
+
+
+def _without(mono: Monomial, factor: Factor) -> Monomial:
+    """The sorted monomial with one occurrence of ``factor`` removed."""
+    at = mono.index(factor)
+    return mono[:at] + mono[at + 1 :]
+
+
 # ----- atom shorthands -------------------------------------------------------
 
 
@@ -243,43 +253,29 @@ def partial_derivative(expr: FieldExpr, factor: Factor) -> FieldExpr:
     """Partial derivative treating the exact factor as an independent variable."""
     name, derivs = factor
     key: Factor = (name, tuple(sorted(derivs)))
-    terms: Dict[Monomial, ExactComplex] = {}
-    for mono, coeff in expr.terms.items():
-        count = mono.count(key)
-        if count == 0:
-            continue
-        remaining = list(mono)
-        remaining.remove(key)
-        new_mono = tuple(remaining)
-        scaled = coeff * ExactComplex.of(count)
-        acc = terms.get(new_mono)
-        terms[new_mono] = scaled if acc is None else acc + scaled
-    return FieldExpr(terms)
+    return _collect(
+        (_without(mono, key), coeff * mono.count(key))
+        for mono, coeff in expr.terms.items()
+        if key in mono
+    )
 
 
 def total_derivative(expr: FieldExpr, mu: int) -> FieldExpr:
     """Space-time derivative d/dx^mu applied with the product rule."""
     if mu not in (0, 1, 2, 3):
         raise ValueError(f"derivative index {mu} out of range")
-    result = FieldExpr.zero()
-    for mono, coeff in expr.terms.items():
-        seen: set[Factor] = set()
-        for fac in mono:
-            if fac in seen:
-                continue
-            seen.add(fac)
-            name, derivs = fac
-            if _symbol_kind(name) == "constant":
-                continue
-            count = mono.count(fac)
-            bumped: Factor = (name, tuple(sorted(derivs + (mu,))))
-            remaining = list(mono)
-            remaining.remove(fac)
-            new_mono = tuple(sorted(remaining + [bumped]))
-            result = result + FieldExpr(
-                {new_mono: coeff * ExactComplex.of(count)}
-            )
-    return result
+
+    def pairs():
+        for mono, coeff in expr.terms.items():
+            for fac in dict.fromkeys(mono):  # each distinct factor once
+                name, derivs = fac
+                if _symbol_kind(name) == "constant":
+                    continue
+                bumped: Factor = (name, tuple(sorted(derivs + (mu,))))
+                new_mono = tuple(sorted(_without(mono, fac) + (bumped,)))
+                yield new_mono, coeff * mono.count(fac)
+
+    return _collect(pairs())
 
 
 def euler_lagrange(lagrangian: FieldExpr, vary: str) -> FieldExpr:
@@ -331,22 +327,21 @@ def _time_weight(mono: Monomial) -> int:
     return sum(derivs.count(0) for (_name, derivs) in mono)
 
 
+def _rewrite(
+    expr: FieldExpr, rename: Mapping[str, str], drop: str | None = None
+) -> FieldExpr:
+    """Rename symbols by ``rename`` after dropping monomials containing ``drop``."""
+    return _collect(
+        (tuple(sorted((rename.get(n, n), d) for n, d in mono)), coeff)
+        for mono, coeff in expr.terms.items()
+        if drop is None or all(name != drop for name, _d in mono)
+    )
+
+
 def swap_fields(expr: FieldExpr, pair: Tuple[str, str]) -> FieldExpr:
     """Exchange the two field symbols everywhere (derivatives preserved)."""
     a, b = pair
-    terms: Dict[Monomial, ExactComplex] = {}
-    for mono, coeff in expr.terms.items():
-        swapped = []
-        for name, derivs in mono:
-            if name == a:
-                name = b
-            elif name == b:
-                name = a
-            swapped.append((name, derivs))
-        key = tuple(sorted(swapped))
-        acc = terms.get(key)
-        terms[key] = coeff if acc is None else acc + coeff
-    return FieldExpr(terms)
+    return _rewrite(expr, {a: b, b: a})
 
 
 def classify_time_symmetry(
@@ -376,40 +371,12 @@ def substitute_real(expr: FieldExpr, charge_to_zero: bool = False) -> FieldExpr:
         raise UnsupportedStructureError(
             "real substitution applies to the scalar pair only"
         )
-    terms: Dict[Monomial, ExactComplex] = {}
-    for mono, coeff in expr.terms.items():
-        if charge_to_zero and any(name == "e" for name, _d in mono):
-            continue
-        renamed = tuple(
-            sorted(
-                ("phi" if name == "phi_star" else name, derivs)
-                for name, derivs in mono
-            )
-        )
-        acc = terms.get(renamed)
-        terms[renamed] = coeff if acc is None else acc + coeff
-    return FieldExpr(terms)
+    return _rewrite(expr, {"phi_star": "phi"}, "e" if charge_to_zero else None)
 
 
 def set_charge_zero(expr: FieldExpr) -> FieldExpr:
     """Drop every monomial containing the coupling constant e."""
-    return FieldExpr(
-        {
-            mono: coeff
-            for mono, coeff in expr.terms.items()
-            if all(name != "e" for name, _d in mono)
-        }
-    )
-
-
-def canonicalize(expr: FieldExpr) -> FieldExpr:
-    """Rebuild the canonical form (identity on well-formed expressions)."""
-    terms: Dict[Monomial, ExactComplex] = {}
-    for mono, coeff in expr.terms.items():
-        key = tuple(sorted(mono))
-        acc = terms.get(key)
-        terms[key] = coeff if acc is None else acc + coeff
-    return FieldExpr(terms)
+    return _rewrite(expr, {}, "e")
 
 
 # ----- serialization and evaluation -------------------------------------------

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qdensity
 from qdensity.cli import load_config, main, parse_args, run
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(argv):
@@ -48,6 +55,20 @@ def test_main_propagates_exit_status():
     assert err.value.code == 0
 
 
+def test_module_entry_point_runs_without_runpy_warning():
+    # importing the package must not import qdensity.cli ahead of runpy
+    src = str(Path(qdensity.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qdensity.cli",
+         "dimensions"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # ----- configuration files -----------------------------------------------------------
 
 
@@ -63,6 +84,22 @@ def test_config_file_rejects_garbage(tmp_path):
     path.write_text("just some words\n")
     with pytest.raises(ValueError):
         load_config(str(path))
+
+
+def test_missing_config_file_is_io_error(tmp_path, capsys):
+    code = run_cli(["all", "--config", str(tmp_path / "absent.cfg")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: cannot read config:" in captured.err
+    assert captured.out == ""
+
+
+def test_config_line_without_equals_is_io_error(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("e = 0\njust some words\n")
+    assert run_cli(["orthogonality", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot read config: {path}:2: expected key=value" in err
 
 
 # ----- subcommand outcomes ------------------------------------------------------------
@@ -217,3 +254,13 @@ def test_all_runs_every_suite_and_reports_the_red_claim(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["passed"] is False
     assert len(payload["suites"]) == 6
+
+
+@pytest.mark.parametrize(
+    "command, status", [("dimensions", 0), ("derive", 1), ("symmetry", 0)]
+)
+def test_report_matches_golden_bytes(tmp_path, command, status):
+    out_path = tmp_path / "report.json"
+    assert run_cli([command, "--out", str(out_path)]) == status
+    golden = GOLDEN / f"report_{command}.json"
+    assert out_path.read_bytes() == golden.read_bytes()

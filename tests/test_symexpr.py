@@ -11,7 +11,6 @@ from qdensity.symexpr import (
     TermSymmetry,
     UnsupportedStructureError,
     canonical_text,
-    canonicalize,
     classify_time_symmetry,
     constant,
     dirac_charge_density,
@@ -37,6 +36,31 @@ from qdensity.symexpr import (
 
 GOLDEN = Path(__file__).parent / "golden"
 
+GOLDEN_DERIVATIONS = {
+    "el_dirac.txt": lambda: euler_lagrange(dirac_lagrangian(), "psibar"),
+    "el_kg.txt": lambda: euler_lagrange(kg_lagrangian(), "phi_star"),
+    "legendre_dirac.txt": lambda: legendre_transform(
+        dirac_lagrangian(), ["psi", "psibar"]
+    ),
+    "legendre_kg.txt": lambda: legendre_transform(
+        kg_lagrangian(), ["phi", "phi_star"]
+    ),
+}
+
+
+def catalog_expressions():
+    yield from (
+        dirac_lagrangian(),
+        dirac_field_equation(),
+        dirac_charge_density(),
+        kg_lagrangian(),
+        kg_field_equation(),
+        kg_hamiltonian_density(),
+        kg_charge_density(),
+    )
+    yield from (dirac_current_component(mu) for mu in range(4))
+    yield from (kg_current_component(k) for k in (1, 2, 3))
+
 
 def random_env(seed: int):
     """Assign an independent random complex value to every atomic factor."""
@@ -61,10 +85,16 @@ def assert_structurally_and_numerically_equal(a: FieldExpr, b: FieldExpr):
 
 
 def test_canonicalization_is_idempotent():
-    for expr in (kg_lagrangian(), dirac_lagrangian(), kg_charge_density()):
-        once = canonicalize(expr)
-        assert canonicalize(once) == once
-        assert once == expr
+    # every result satisfies the canonical-form contract: sorted monomial
+    # keys, sorted derivative multi-indices and no zero coefficients
+    derived = [build() for build in GOLDEN_DERIVATIONS.values()]
+    for expr in [*catalog_expressions(), *derived]:
+        assert not expr.is_zero
+        for mono, coeff in expr.terms.items():
+            assert isinstance(mono, tuple)
+            assert mono == tuple(sorted(mono))
+            assert all(derivs == tuple(sorted(derivs)) for _n, derivs in mono)
+            assert not coeff.is_zero
 
 
 def test_product_is_commutative_in_canonical_form():
@@ -241,10 +271,14 @@ def test_classification_only_looks_at_top_time_derivative_terms():
 
 
 def test_classification_invariant_under_canonicalization():
+    # rebuilding from single-monomial pieces in reverse order changes the
+    # insertion order but not the canonical form or the classification
     for expr in (kg_hamiltonian_density(), kg_charge_density()):
-        assert classify_time_symmetry(canonicalize(expr)) is classify_time_symmetry(
-            expr
-        )
+        pieces = [FieldExpr({mono: c}) for mono, c in expr.terms.items()]
+        rebuilt = sum(reversed(pieces), FieldExpr.zero())
+        assert list(rebuilt.terms) != list(expr.terms)
+        assert rebuilt == expr
+        assert classify_time_symmetry(rebuilt) is classify_time_symmetry(expr)
 
 
 # ----- real-field substitution ------------------------------------------------------
@@ -285,21 +319,7 @@ def test_real_substitution_rejects_spinor_expressions():
 # ----- serialization ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "name, builder",
-    [
-        ("el_dirac.txt", lambda: euler_lagrange(dirac_lagrangian(), "psibar")),
-        ("el_kg.txt", lambda: euler_lagrange(kg_lagrangian(), "phi_star")),
-        (
-            "legendre_dirac.txt",
-            lambda: legendre_transform(dirac_lagrangian(), ["psi", "psibar"]),
-        ),
-        (
-            "legendre_kg.txt",
-            lambda: legendre_transform(kg_lagrangian(), ["phi", "phi_star"]),
-        ),
-    ],
-)
+@pytest.mark.parametrize("name, builder", GOLDEN_DERIVATIONS.items())
 def test_golden_canonical_forms(name, builder):
     expected = (GOLDEN / name).read_text().rstrip("\n")
     assert canonical_text(builder()) == expected

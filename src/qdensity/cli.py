@@ -5,7 +5,8 @@ per check (values shown to 12 significant digits).  With ``--out`` the
 full report is written as JSON (floats at 17 significant digits, fixed key
 order, byte-identical across identical invocations) or CSV.  Exit status:
 0 when every check passed, 1 when some check failed (the failing claim is
-named), 2 on I/O problems.  Argument errors exit nonzero via argparse.
+named), 2 on I/O problems and on bad parameter values, which are rejected
+before any suite runs.  Argument errors exit nonzero via argparse.
 """
 from __future__ import annotations
 
@@ -400,8 +401,17 @@ def _parse_d_list(text: str) -> tuple:
     return values
 
 
+CONFIG_KEYS = ("R", "mass", "e", "q", "d", "resolution", "refine")
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
 def load_config(path: str) -> Dict[str, str]:
-    """Flat key=value file; blank lines and # comments ignored."""
+    """Flat key=value file over CONFIG_KEYS; blank lines and # comments ignored."""
     values: Dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -411,7 +421,10 @@ def load_config(path: str) -> Dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = value.strip()
     return values
 
 
@@ -451,17 +464,22 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
 def _experiment_config(
     args: argparse.Namespace, file_cfg: Dict[str, str]
 ) -> experiment.ExperimentConfig:
+    """Flags over config values over defaults; ValueError names a bad input."""
+
     def pick(flag_value, key: str, cast, default):
         if flag_value is not None:
             return flag_value
-        if key in file_cfg:
+        if key not in file_cfg:
+            return default
+        try:
             return cast(file_cfg[key])
-        return default
+        except (ValueError, argparse.ArgumentTypeError) as err:
+            raise ValueError(f"config key {key}: {err}") from None
 
     resolution = pick(
         getattr(args, "resolution", None), "resolution", int, 16
     )
-    if getattr(args, "refine", False) or file_cfg.get("refine") == "true":
+    if getattr(args, "refine", False) or pick(None, "refine", _parse_bool, False):
         resolution *= 2
     return experiment.ExperimentConfig(
         R=pick(None, "R", float, 1.0),
@@ -511,13 +529,17 @@ def run(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as err:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return 2
+    try:
+        config = _experiment_config(args, file_cfg)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
     all_checks: List[Check] = []
     report: dict = {"command": args.command, "suites": []}
     csv_rows = [["suite", "check", "passed", "detail"]]
     for suite in suites:
         if suite == "orthogonality":
-            config = _experiment_config(args, file_cfg)
             checks, exp_report = orthogonality_checks(config)
             suite_dict = {
                 "suite": suite,

@@ -25,10 +25,6 @@ class UnknownSymbolError(ValueError):
     """A term references a field symbol with no assigned dimension."""
 
 
-class NonBilinearTermError(ValueError):
-    """Field-dimension inference assumes a term bilinear in the field."""
-
-
 @dataclass(frozen=True)
 class Dim:
     """Length dimension L**exponent with exact rational exponent."""
@@ -104,7 +100,7 @@ def term_dimension(term: TermSpec, field_dims: Mapping[str, Dim]) -> Dim:
     return Dim(exponent)
 
 
-def infer_field_dimension(operator_dim: Dim, bilinear: bool = True) -> Dim:
+def infer_field_dimension(operator_dim: Dim) -> Dim:
     """Solve 2*d + operator = -4 for the field dimension d.
 
     The Lagrangian density has dimension L**-4 and is bilinear in the
@@ -112,10 +108,6 @@ def infer_field_dimension(operator_dim: Dim, bilinear: bool = True) -> Dim:
     order operator (L**-1) forces d = -3/2, a second order one (L**-2)
     forces d = -1.
     """
-    if not bilinear:
-        raise NonBilinearTermError(
-            "field dimension is only determined for terms bilinear in the field"
-        )
     return Dim((LAGRANGIAN_DENSITY_EXPONENT - operator_dim.exponent) / 2)
 
 

@@ -14,7 +14,6 @@ snapshots over d, with the vector potential of the motion neglected.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
@@ -107,7 +106,7 @@ def well_state(
     l: int, m: int, grid: BallGrid, mass: float, sigma: int = 1
 ) -> KGState:
     """Unnormalized lowest well state with angular indices (l, m)."""
-    mode = solve_well_mode(l, grid.R, mass, r=grid.r)
+    mode = solve_well_mode(l, grid.R, mass)
     return KGState(sigma=sigma, omega=mode.omega, l=l, m=m, radial=mode)
 
 
@@ -133,26 +132,16 @@ def _cross_overlap(
     return overlap, phase
 
 
-def inner_product(
-    a: KGState,
-    b: KGState,
-    grid: BallGrid,
-    potential: Optional[np.ndarray] = None,
-    e: float = 0.0,
-    t: float = 0.0,
-) -> complex:
-    """Scalar-density inner product of two states at one time snapshot.
+def inner_product(a: KGState, b: KGState, grid: BallGrid, t: float = 0.0) -> complex:
+    """Zero-potential scalar-density inner product at one time snapshot.
 
-    Integrates i(phi_a* d0 phi_b - d0 phi_a* phi_b) - 2 e V phi_a* phi_b
-    over the ball.  With V = 0 this is the (omega_a + omega_b)-weighted
-    overlap, which vanishes for distinct angular indices.
+    Integrates i(phi_a* d0 phi_b - d0 phi_a* phi_b) over the ball: the
+    (omega_a + omega_b)-weighted overlap, which vanishes for distinct
+    angular indices.  The -2eV part of the density is :func:`potential_term`.
     """
     overlap, phase = _cross_overlap(a, b, grid, t)
     weight = -(a.sigma * a.omega + b.sigma * b.omega)
-    total = weight * integrate_ball(overlap, grid)
-    if potential is not None and e != 0.0:
-        total += -2.0 * e * integrate_ball(potential * overlap, grid)
-    return phase * total
+    return phase * (weight * integrate_ball(overlap, grid))
 
 
 def potential_term(
@@ -184,6 +173,30 @@ class ExperimentConfig:
     n_phi: int = 16
     t: float = 0.0
     sigma: int = 1
+
+    def __post_init__(self) -> None:
+        """Reject values the experiment cannot run on, before any grid is built."""
+        for name in ("R", "mass", "e", "q", "t"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.R <= 0 or self.mass < 0 or self.q <= 0:
+            raise ValueError(
+                f"need R > 0, mass >= 0 and q > 0, got R={self.R}, "
+                f"mass={self.mass}, q={self.q}"
+            )
+        if not self.d_values or not all(
+            math.isfinite(d) and d > self.R for d in self.d_values
+        ):
+            raise ValueError(
+                "every sweep distance must be finite and exceed the well "
+                f"radius R={self.R}, got d={list(self.d_values)}"
+            )
+        sizes = (self.n_panels, self.order, self.n_theta, self.n_phi)
+        if min(sizes) < 1:
+            raise ValueError(
+                "grid sizes (n_panels, order, n_theta, n_phi) must be >= 1, "
+                f"got {sizes}"
+            )
 
 
 @dataclass(frozen=True)
@@ -246,10 +259,6 @@ class ExperimentReport:
             )
         return rows
 
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(self.to_csv_rows())
-
 
 def _sweep_on_grid(
     config: ExperimentConfig, grid: BallGrid
@@ -277,8 +286,6 @@ def run_orthogonality_experiment(config: ExperimentConfig) -> ExperimentReport:
     difference against the base grid.  Monotone decay of |U| with growing d
     is evaluated whenever the coupling e*q is nonzero.
     """
-    if any(d <= config.R for d in config.d_values):
-        raise ValueError("every sweep distance must exceed the well radius")
     coarse = BallGrid.build(
         config.R, config.n_panels, config.order, config.n_theta, config.n_phi
     )

@@ -9,9 +9,8 @@ natural units, spinor normalization ubar u = 2m.
 """
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "dirac_hamiltonian_apply",
     "kg_current",
     "kg_hamiltonian_density",
-    "dump_current_csv",
 ]
 
 _PAULI = (
@@ -36,8 +34,6 @@ _PAULI = (
     np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     np.array([[1, 0], [0, -1]], dtype=np.complex128),
 )
-
-METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -48,10 +44,6 @@ class GammaSet:
     g1: np.ndarray
     g2: np.ndarray
     g3: np.ndarray
-    metric: np.ndarray = field(default_factory=lambda: METRIC.copy())
-
-    def __iter__(self):
-        return iter((self.g0, self.g1, self.g2, self.g3))
 
     def __getitem__(self, mu: int) -> np.ndarray:
         return (self.g0, self.g1, self.g2, self.g3)[mu]
@@ -110,10 +102,10 @@ class SpinorPlaneWave:
         u = np.concatenate([scale * chi, (sigma_p @ chi) / scale])
         return cls(p=p, mass=mass, s=s, energy=energy, u=u)
 
-    def field_equation_residual(self, gammas: GammaSet = GAMMAS) -> float:
+    def field_equation_residual(self) -> float:
         """Max-norm of (gamma^mu p_mu - m) u, zero for a valid spinor."""
-        slash = self.energy * gammas.g0 - sum(
-            self.p[k - 1] * gammas[k] for k in (1, 2, 3)
+        slash = self.energy * GAMMAS.g0 - sum(
+            self.p[k - 1] * GAMMAS[k] for k in (1, 2, 3)
         )
         return float(np.max(np.abs(slash @ self.u - self.mass * self.u)))
 
@@ -199,24 +191,20 @@ class FourCurrent:
 
 
 def dirac_current(
-    psi: np.ndarray,
-    potential: Optional[Sequence[np.ndarray]] = None,
-    gammas: GammaSet = GAMMAS,
-    spacings: Optional[Tuple[float, ...]] = None,
+    psi: np.ndarray, spacings: Optional[Tuple[float, ...]] = None
 ) -> FourCurrent:
     """Conserved spinor current: rho = psi^dag psi, j^k = psi^dag alpha_k psi.
 
-    The ``potential`` argument is accepted and deliberately ignored: the
-    current depends on the spinor alone, whatever external field it moves in.
+    The current depends on the spinor alone, whatever external field it
+    moves in, so it takes no potential.
     """
-    del potential
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.ndim < 1 or psi.shape[0] != 4:
         raise ValueError("spinor samples must have 4 components on axis 0")
     rho = np.sum(np.abs(psi) ** 2, axis=0)
     j = np.empty((3,) + psi.shape[1:], dtype=float)
     for k in (1, 2, 3):
-        alpha = gammas.alpha(k)
+        alpha = GAMMAS.alpha(k)
         j[k - 1] = np.real(
             np.einsum("a...,ab,b...->...", np.conj(psi), alpha, psi)
         )
@@ -235,7 +223,6 @@ def dirac_hamiltonian_apply(
     e: float = 0.0,
     V: Optional[np.ndarray] = None,
     A: Optional[Sequence[np.ndarray]] = None,
-    gammas: GammaSet = GAMMAS,
 ) -> np.ndarray:
     """Apply H = alpha.(-i grad - e A) + e V + beta m on a periodic 3D grid.
 
@@ -256,9 +243,9 @@ def dirac_hamiltonian_apply(
         kinetic = -1j * _roll_derivative(psi, axis=k, h=spacings[k - 1])
         if A is not None:
             kinetic = kinetic - e * np.asarray(A[k - 1]) * psi
-        alpha = gammas.alpha(k)
+        alpha = GAMMAS.alpha(k)
         out += np.einsum("ab,b...->a...", alpha, kinetic)
-    out += np.einsum("ab,b...->a...", mass * gammas.beta, psi)
+    out += np.einsum("ab,b...->a...", mass * GAMMAS.beta, psi)
     if V is not None:
         out += e * np.asarray(V) * psi
     return out
@@ -267,36 +254,24 @@ def dirac_hamiltonian_apply(
 def kg_current(
     phi: np.ndarray,
     phi_t: np.ndarray,
-    grad_phi: Optional[np.ndarray] = None,
+    grad_phi: np.ndarray,
     V: Optional[np.ndarray] = None,
     A: Optional[Sequence[np.ndarray]] = None,
     e: float = 0.0,
     spacings: Optional[Tuple[float, ...]] = None,
-    spatial_axes: Optional[Tuple[int, ...]] = None,
 ) -> FourCurrent:
     """Scalar 4-current:
 
         rho = i(phi* d0 phi - d0 phi* phi) - 2 e V phi* phi
         j_k = i(dk phi* phi - phi* dk phi) - 2 e A_k phi* phi
 
-    The time derivative must be supplied (stationary states carry it in
-    their phase).  The gradient may be supplied analytically; otherwise it
-    is formed by central differences using ``spacings`` over the trailing
-    three axes (or ``spatial_axes`` when the samples include a time axis).
+    The time derivative and the gradient (stacked over k on axis 0) are
+    supplied by the caller, analytically for the exact solutions sampled here.
     """
     phi = np.asarray(phi, dtype=np.complex128)
     phi_t = np.asarray(phi_t, dtype=np.complex128)
     if phi_t.shape != phi.shape:
         raise ValueError("phi and its time derivative must share a shape")
-    if grad_phi is None:
-        if spacings is None:
-            raise ValueError("supply grad_phi or spacings for the gradient")
-        axes = spatial_axes if spatial_axes is not None else tuple(
-            range(phi.ndim - 3, phi.ndim)
-        )
-        grad_phi = np.stack(
-            [np.gradient(phi, h, axis=ax) for ax, h in zip(axes, spacings[-3:])]
-        )
     grad_phi = np.asarray(grad_phi)
     density = np.abs(phi) ** 2
     rho = np.real(1j * (np.conj(phi) * phi_t - np.conj(phi_t) * phi))
@@ -335,17 +310,3 @@ def kg_hamiltonian_density(
         out = out + np.abs(cov_k) ** 2
     out = out + mass**2 * np.abs(phi) ** 2
     return out
-
-
-def dump_current_csv(current: FourCurrent, path: str) -> None:
-    """Flat (index, rho, jx, jy, jz) dump for plotting."""
-    rho = current.rho.ravel()
-    j = current.j.reshape(3, -1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "rho", "jx", "jy", "jz"])
-        for i in range(rho.size):
-            writer.writerow(
-                [i, repr(float(rho[i]))]
-                + [repr(float(j[k, i])) for k in range(3)]
-            )

@@ -8,7 +8,6 @@ residual of the continuity equation d0 rho + div j = 0.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
@@ -26,7 +25,6 @@ __all__ = [
     "solve_well_mode",
     "integrate_ball",
     "divergence_residual",
-    "dump_mode_csv",
 ]
 
 
@@ -274,18 +272,13 @@ class RadialMode:
     R: float
     k: float
     omega: float
-    r: np.ndarray
-    f: np.ndarray
-    node_count: int
 
     def sample(self, r) -> np.ndarray:
         """Radial profile j_l(k r) at arbitrary radii."""
         return spherical_bessel_j(self.l, self.k * np.asarray(r, dtype=float))
 
 
-def solve_well_mode(
-    l: int, R: float, mass: float, r: np.ndarray | None = None
-) -> RadialMode:
+def solve_well_mode(l: int, R: float, mass: float) -> RadialMode:
     """Lowest mode with angular momentum l in an infinite well of radius R.
 
     The profile is j_l(k r) with k R the first positive zero of j_l, located
@@ -301,17 +294,7 @@ def solve_well_mode(
     lo, hi = _FIRST_ZERO_BRACKET[l]
     x_zero = bisect_root(lambda x: float(spherical_bessel_j(l, x)), lo, hi)
     k = x_zero / R
-    omega = math.hypot(k, mass)
-    if r is None:
-        r = np.linspace(R / 256.0, R, 256)
-    else:
-        r = np.asarray(r, dtype=float)
-    f = spherical_bessel_j(l, k * r)
-    # the wall value is zero only to bisection tolerance; snap it so the
-    # sign and node-count invariants are not upset by a stray -1e-13
-    f = np.where(np.abs(f) < 1e-11, 0.0, f)
-    node_count = int(np.sum(f[1:] * f[:-1] < 0.0))
-    return RadialMode(l=l, R=R, k=k, omega=omega, r=r, f=f, node_count=node_count)
+    return RadialMode(l=l, R=R, k=k, omega=math.hypot(k, mass))
 
 
 # ----- continuity residual -----------------------------------------------------
@@ -351,13 +334,3 @@ def divergence_residual(
     for axis in (1, 2, 3):
         total = total + crop(central(j[axis - 1], axis, spacings[axis]), axis)
     return float(np.max(np.abs(total)))
-
-
-def dump_mode_csv(mode: RadialMode, grid: BallGrid, path: str) -> None:
-    """Write (r, f, weight) rows of a radial mode resampled on a grid."""
-    f = mode.sample(grid.r)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "f", "weight"])
-        for ri, fi, wi in zip(grid.r, f, grid.w_r):
-            writer.writerow([repr(float(ri)), repr(float(fi)), repr(float(wi))])

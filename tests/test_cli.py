@@ -102,6 +102,59 @@ def test_config_line_without_equals_is_io_error(tmp_path, capsys):
     assert f"error: cannot read config: {path}:2: expected key=value" in err
 
 
+def test_unknown_config_key_is_named(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("mass = 1\nmas = 2\n")
+    assert run_cli(["orthogonality", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot read config: {path}:2: unknown key 'mas'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["True", "TRUE", "true"])
+def test_config_refine_is_case_insensitive(tmp_path, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"refine = {value}\nresolution = 4\nd = 2\n")
+    out_path = tmp_path / "report.json"
+    argv = ["orthogonality", "--config", str(path), "--out", str(out_path)]
+    assert run_cli(argv) == 0
+    experiment = json.loads(out_path.read_text())["suites"][0]["experiment"]
+    assert experiment["parameters"]["n_panels"] == 8
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["orthogonality", "--d", "nan"], None),
+        (["orthogonality", "--d", "inf"], None),
+        (["orthogonality", "--d", "1.0"], None),
+        (["orthogonality", "--resolution", "0"], None),
+        (["orthogonality", "--resolution", "-3"], None),
+        (["all", "--d", "nan"], None),
+        (["orthogonality"], "R = abc"),
+        (["orthogonality"], "resolution = 2.5"),
+        (["orthogonality"], "q = 0"),
+        (["orthogonality"], "R = 0"),
+        (["orthogonality"], "mass = -1"),
+        (["orthogonality"], "R = 2"),
+        (["orthogonality"], "d = 1.5,two"),
+        (["orthogonality"], "e = nan"),
+        (["orthogonality"], "refine = maybe"),
+        (["all"], "R = 2"),
+    ],
+)
+def test_bad_experiment_input_is_usage_error(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config + "\n")
+        argv = argv + ["--config", str(path)]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 # ----- subcommand outcomes ------------------------------------------------------------
 
 
@@ -257,7 +310,8 @@ def test_all_runs_every_suite_and_reports_the_red_claim(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, status", [("dimensions", 0), ("derive", 1), ("symmetry", 0)]
+    "command, status",
+    [("dimensions", 0), ("derive", 1), ("symmetry", 0), ("all", 1)],
 )
 def test_report_matches_golden_bytes(tmp_path, command, status):
     out_path = tmp_path / "report.json"

@@ -7,7 +7,6 @@ from qdensity.dims import (
     DIMENSIONLESS,
     LAGRANGIAN_DENSITY_EXPONENT,
     Dim,
-    NonBilinearTermError,
     TermSpec,
     UnknownSymbolError,
     check_density_requirement_A,
@@ -57,11 +56,6 @@ def test_unknown_field_symbol_rejected():
 )
 def test_infer_field_dimension(operator_exponent, expected):
     assert infer_field_dimension(Dim(operator_exponent)).exponent == expected
-
-
-def test_infer_requires_bilinear_structure():
-    with pytest.raises(NonBilinearTermError):
-        infer_field_dimension(Dim(-1), bilinear=False)
 
 
 def test_requirement_A_examples():

@@ -158,9 +158,6 @@ def test_normalization_constant_halves_for_doubled_profile(grid):
         R=base.radial.R,
         k=base.radial.k,
         omega=base.radial.omega,
-        r=base.radial.r,
-        f=2.0 * base.radial.f,
-        node_count=0,
     )
     doubled = KGState(
         sigma=base.sigma, omega=base.omega, l=base.l, m=base.m, radial=doubled_mode
@@ -175,19 +172,14 @@ def test_degenerate_state_rejected(grid):
         def sample(self, r):
             return np.zeros_like(np.asarray(r, dtype=float))
 
-    dead_mode = ZeroMode(
-        l=0, R=1.0, k=math.pi, omega=1.0, r=grid.r, f=np.zeros_like(grid.r),
-        node_count=0,
-    )
+    dead_mode = ZeroMode(l=0, R=1.0, k=math.pi, omega=1.0)
     dead = KGState(sigma=1, omega=1.0, l=0, m=0, radial=dead_mode)
     with pytest.raises(ValueError):
         normalize_kg_state(dead, grid)
 
 
-def test_state_validation(grid):
-    mode = RadialMode(
-        l=1, R=1.0, k=1.0, omega=1.0, r=grid.r, f=np.ones_like(grid.r), node_count=0
-    )
+def test_state_validation():
+    mode = RadialMode(l=1, R=1.0, k=1.0, omega=1.0)
     with pytest.raises(ValueError):
         KGState(sigma=0, omega=1.0, l=1, m=0, radial=mode)
     with pytest.raises(ValueError):
@@ -213,16 +205,7 @@ def test_orthogonality_matrix_over_low_angular_momenta(grid):
             return spherical_bessel_j(2, self.k * np.asarray(r, dtype=float))
 
     k2 = z2 / grid.R
-    j2_mode = J2Mode(
-        l=2,
-        R=grid.R,
-        k=k2,
-        omega=math.hypot(k2, 1.0),
-        r=grid.r,
-        f=spherical_bessel_j(2, k2 * grid.r),
-        node_count=0,
-    )
-    assert j2_mode.node_count == 0
+    j2_mode = J2Mode(l=2, R=grid.R, k=k2, omega=math.hypot(k2, 1.0))
 
     states = []
     for l in range(3):
@@ -289,15 +272,6 @@ def test_central_potential_preserves_orthogonality(grid, states):
     assert abs(u) <= 1e-12
 
 
-def test_inner_product_includes_potential_contribution(grid, states):
-    s0, s1 = states
-    v = external_potential(ExternalCharge(q=1.0, d=2.0), grid)
-    total = inner_product(s0, s1, grid, potential=v, e=1.0)
-    free = inner_product(s0, s1, grid)
-    u = potential_term(s0, s1, grid, v, e=1.0)
-    assert total == pytest.approx(free + u, abs=1e-14)
-
-
 # ----- full experiment ----------------------------------------------------------------
 
 
@@ -350,13 +324,3 @@ def test_report_serialization_round_trip_and_determinism():
     rows = first.to_csv_rows()
     assert rows[0] == ["d", "re_u", "im_u", "error"]
     assert len(rows) == 2
-
-
-def test_report_csv_write(tmp_path):
-    config = ExperimentConfig(d_values=(2.0, 4.0), n_panels=8, n_theta=8, n_phi=8)
-    report = run_orthogonality_experiment(config)
-    path = tmp_path / "sweep.csv"
-    report.write_csv(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "d,re_u,im_u,error"
-    assert len(lines) == 3

@@ -8,7 +8,6 @@ from qdensity.numerics import (
     bisect_root,
     composite_gauss_legendre,
     divergence_residual,
-    dump_mode_csv,
     gauss_legendre,
     integrate_ball,
     solve_well_mode,
@@ -257,11 +256,24 @@ def test_dispersion_relation():
 
 
 def test_modes_are_nodeless_and_vanish_at_wall():
+    r = np.linspace(0.0, 1.0, 1001)[1:-1]
     for l in (0, 1):
         mode = solve_well_mode(l, 1.0, mass=1.0)
-        assert mode.node_count == 0
-        assert np.all(mode.f >= 0.0)
+        assert np.all(mode.sample(r) > 0.0)
         assert abs(mode.sample(1.0)) < 1e-11
+
+
+@pytest.mark.parametrize("l, bracket", [(0, (3.0, 3.5)), (1, (4.0, 5.0))])
+@pytest.mark.parametrize("R, mass", [(1.0, 1.0), (0.37, 0.0), (2.9, 4.2)])
+def test_well_mode_matches_scipy_bessel_oracle(l, bracket, R, mass):
+    scipy_special = pytest.importorskip("scipy.special")
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    spherical_jn = scipy_special.spherical_jn
+    zero = scipy_optimize.brentq(lambda x: spherical_jn(l, x), *bracket, xtol=1e-14)
+    mode = solve_well_mode(l, R, mass)
+    assert abs(mode.k * R - zero) <= 1e-11
+    r = R * np.concatenate([[1e-9, 1e-6, 1e-3], np.linspace(0.0, 1.0, 2001)[1:]])
+    assert np.max(np.abs(mode.sample(r) - spherical_jn(l, mode.k * r))) <= 1e-12
 
 
 def test_mode_satisfies_radial_equation():
@@ -319,12 +331,3 @@ def test_divergence_residual_validation():
         divergence_residual(np.ones((4, 4, 4, 4)), j, (0.1,) * 4)
     with pytest.raises(ValueError):
         divergence_residual(np.ones((4, 4, 4, 4)), np.zeros((3, 4, 4, 4, 4)), (0.1,))
-
-
-def test_mode_csv_dump(tmp_path, grid):
-    mode = solve_well_mode(0, 1.0, mass=1.0)
-    path = tmp_path / "mode.csv"
-    dump_mode_csv(mode, grid, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "r,f,weight"
-    assert len(lines) == len(grid.r) + 1

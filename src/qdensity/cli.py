@@ -411,7 +411,8 @@ def _parse_bool(text: str) -> bool:
 
 
 def load_config(path: str) -> Dict[str, str]:
-    """Flat key=value file over CONFIG_KEYS; blank lines and # comments ignored."""
+    """Flat key=value file over CONFIG_KEYS, each key at most once; blank
+    lines and # comments ignored."""
     values: Dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -424,6 +425,8 @@ def load_config(path: str) -> Dict[str, str]:
             key = key.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             values[key] = value.strip()
     return values
 
@@ -496,15 +499,26 @@ def _experiment_config(
     )
 
 
-def _write_report(args: argparse.Namespace, report: dict, csv_rows) -> None:
+def _write_report(
+    args: argparse.Namespace,
+    report: dict,
+    exp_report: Optional[experiment.ExperimentReport],
+) -> None:
     if not args.out:
         return
-    if args.format == "csv":
-        with open(args.out, "w", newline="") as fh:
-            csv.writer(fh).writerows(csv_rows)
-    else:
-        with open(args.out, "w") as fh:
+    with open(args.out, "w", newline="") as fh:
+        if args.format == "json":
             fh.write(_json_text(report) + "\n")
+        elif args.command == "orthogonality":
+            csv.writer(fh).writerows(exp_report.to_csv_rows())
+        else:
+            writer = csv.writer(fh)
+            writer.writerow(["suite", "check", "passed", "detail"])
+            writer.writerows(
+                [suite["suite"], c["name"], str(c["passed"]).lower(), c["detail"]]
+                for suite in report["suites"]
+                for c in suite["checks"]
+            )
 
 
 _SUITES = {
@@ -513,16 +527,13 @@ _SUITES = {
     "symmetry": symmetry_checks,
     "continuity": continuity_checks,
     "dirac-consistency": dirac_consistency_checks,
+    "orthogonality": orthogonality_checks,
 }
 
 
 def run(args: argparse.Namespace) -> int:
     """Execute a parsed command; returns the process exit status."""
-    suites: List[str]
-    if args.command == "all":
-        suites = list(_SUITES) + ["orthogonality"]
-    else:
-        suites = [args.command]
+    suites = list(_SUITES) if args.command == "all" else [args.command]
 
     try:
         file_cfg = load_config(args.config) if args.config else {}
@@ -535,48 +546,38 @@ def run(args: argparse.Namespace) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    all_checks: List[Check] = []
     report: dict = {"command": args.command, "suites": []}
-    csv_rows = [["suite", "check", "passed", "detail"]]
+    exp_report = None
     for suite in suites:
         if suite == "orthogonality":
-            checks, exp_report = orthogonality_checks(config)
-            suite_dict = {
-                "suite": suite,
-                "claim": SUBCOMMAND_CLAIMS[suite],
-                "checks": [c.as_dict() for c in checks],
-                "experiment": exp_report.to_json_dict(),
-            }
-            if args.command == "orthogonality" and args.format == "csv":
-                csv_rows = exp_report.to_csv_rows()
+            checks, exp_report = _SUITES[suite](config)
+            extra = {"experiment": exp_report.to_json_dict()}
         else:
-            checks = _SUITES[suite]()
-            suite_dict = {
+            checks, extra = _SUITES[suite](), {}
+        report["suites"].append(
+            {
                 "suite": suite,
                 "claim": SUBCOMMAND_CLAIMS[suite],
                 "checks": [c.as_dict() for c in checks],
+                **extra,
             }
-        report["suites"].append(suite_dict)
+        )
         _print_checks(suite, checks)
-        all_checks.extend(checks)
-        if not (args.command == "orthogonality" and args.format == "csv"):
-            for check in checks:
-                csv_rows.append(
-                    [suite, check.name, str(check.passed).lower(), check.detail]
-                )
 
-    passed = all(c.passed for c in all_checks)
-    report["passed"] = passed
+    failing = [
+        c["name"] for suite in report["suites"] for c in suite["checks"]
+        if not c["passed"]
+    ]
+    report["passed"] = not failing
     try:
-        _write_report(args, report, csv_rows)
+        _write_report(args, report, exp_report)
     except OSError as err:
         print(f"error: cannot write report: {err}", file=sys.stderr)
         return 2
-    if passed:
+    if not failing:
         print("all checks passed")
         return 0
-    failing = ", ".join(c.name for c in all_checks if not c.passed)
-    print(f"failing checks: {failing}")
+    print(f"failing checks: {', '.join(failing)}")
     return 1
 
 

@@ -34,27 +34,6 @@ class Dim:
     def __init__(self, exponent: RationalLike) -> None:
         object.__setattr__(self, "exponent", Fraction(exponent))
 
-    def __mul__(self, other: "Dim") -> "Dim":
-        return Dim(self.exponent + other.exponent)
-
-    def __truediv__(self, other: "Dim") -> "Dim":
-        return Dim(self.exponent - other.exponent)
-
-    def __pow__(self, power: int) -> "Dim":
-        return Dim(self.exponent * power)
-
-    def derived(self, order: int = 1) -> "Dim":
-        """Dimension after applying ``order`` space-time derivatives."""
-        return Dim(self.exponent - order)
-
-    def __str__(self) -> str:
-        return f"[L^{self.exponent}]"
-
-
-DIMENSIONLESS = Dim(0)
-LAGRANGIAN_DENSITY = Dim(LAGRANGIAN_DENSITY_EXPONENT)
-DENSITY = Dim(DENSITY_EXPONENT)
-
 
 @dataclass(frozen=True)
 class TermSpec:
@@ -78,16 +57,6 @@ class TermSpec:
                 raise ValueError(f"negative power for field {name!r}")
         if not any(p > 0 for p in self.field_powers.values()):
             raise ValueError("a matter term needs at least one field factor")
-
-    def __mul__(self, other: "TermSpec") -> "TermSpec":
-        powers = dict(self.field_powers)
-        for name, power in other.field_powers.items():
-            powers[name] = powers.get(name, 0) + power
-        return TermSpec(
-            field_powers=powers,
-            derivative_count=self.derivative_count + other.derivative_count,
-            operator_dim=self.operator_dim * other.operator_dim,
-        )
 
 
 def term_dimension(term: TermSpec, field_dims: Mapping[str, Dim]) -> Dim:

@@ -171,12 +171,10 @@ class ExperimentConfig:
     order: int = 8
     n_theta: int = 16
     n_phi: int = 16
-    t: float = 0.0
-    sigma: int = 1
 
     def __post_init__(self) -> None:
         """Reject values the experiment cannot run on, before any grid is built."""
-        for name in ("R", "mass", "e", "q", "t"):
+        for name in ("R", "mass", "e", "q"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.R <= 0 or self.mass < 0 or self.q <= 0:
@@ -190,6 +188,10 @@ class ExperimentConfig:
             raise ValueError(
                 "every sweep distance must be finite and exceed the well "
                 f"radius R={self.R}, got d={list(self.d_values)}"
+            )
+        if len(set(self.d_values)) != len(self.d_values):
+            raise ValueError(
+                f"sweep distances must be distinct, got d={list(self.d_values)}"
             )
         sizes = (self.n_panels, self.order, self.n_theta, self.n_phi)
         if min(sizes) < 1:
@@ -249,33 +251,21 @@ class ExperimentReport:
     def to_csv_rows(self) -> list:
         rows = [["d", "re_u", "im_u", "error"]]
         for entry in self.sweep:
-            rows.append(
-                [
-                    repr(entry.d),
-                    repr(entry.u.real),
-                    repr(entry.u.imag),
-                    repr(entry.error),
-                ]
-            )
+            values = (entry.d, entry.u.real, entry.u.imag, entry.error)
+            rows.append([repr(float(x)) for x in values])
         return rows
 
 
 def _sweep_on_grid(
     config: ExperimentConfig, grid: BallGrid
 ) -> Tuple[complex, list, KGState, KGState]:
-    state0 = normalize_kg_state(
-        well_state(0, 0, grid, config.mass, config.sigma), grid
-    )
-    state1 = normalize_kg_state(
-        well_state(1, 0, grid, config.mass, config.sigma), grid
-    )
-    i01 = inner_product(state0, state1, grid, t=config.t)
+    state0 = normalize_kg_state(well_state(0, 0, grid, config.mass), grid)
+    state1 = normalize_kg_state(well_state(1, 0, grid, config.mass), grid)
+    i01 = inner_product(state0, state1, grid)
     values = []
     for d in config.d_values:
         v = external_potential(ExternalCharge(q=config.q, d=d), grid)
-        values.append(
-            potential_term(state0, state1, grid, v, config.e, t=config.t)
-        )
+        values.append(potential_term(state0, state1, grid, v, config.e))
     return i01, values, state0, state1
 
 
@@ -318,8 +308,8 @@ def run_orthogonality_experiment(config: ExperimentConfig) -> ExperimentReport:
         "order": config.order,
         "n_theta": config.n_theta,
         "n_phi": config.n_phi,
-        "t": config.t,
-        "sigma": config.sigma,
+        "t": 0.0,
+        "sigma": 1,
         "model": "quasi-static snapshots of the approaching charge, A=0",
     }
     return ExperimentReport(

@@ -2,7 +2,7 @@
 
 Implements both 4-currents and both energy densities pointwise on sampled
 fields: the spinor current psibar gamma^mu psi (positive definite density,
-blind to external potentials), the spinor Hamiltonian alpha.(-i grad - eA)
+blind to external potentials), the spinor Hamiltonian alpha.(-i grad)
 + eV + beta m, and the scalar current/energy density of the minimally
 coupled complex scalar field.  Dirac representation, metric (+,-,-,-),
 natural units, spinor normalization ubar u = 2m.
@@ -18,8 +18,9 @@ import numpy as np
 from . import numerics
 
 __all__ = [
-    "GammaSet",
-    "default_gammas",
+    "GAMMAS",
+    "BETA",
+    "ALPHAS",
     "SpinorPlaneWave",
     "KGPlaneWave",
     "FourCurrent",
@@ -34,42 +35,18 @@ _PAULI = (
     np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     np.array([[1, 0], [0, -1]], dtype=np.complex128),
 )
+_EYE2 = np.eye(2, dtype=np.complex128)
+_ZERO2 = np.zeros((2, 2), dtype=np.complex128)
 
-
-@dataclass(frozen=True)
-class GammaSet:
-    """The four gamma matrices in the Dirac representation."""
-
-    g0: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-    g3: np.ndarray
-
-    def __getitem__(self, mu: int) -> np.ndarray:
-        return (self.g0, self.g1, self.g2, self.g3)[mu]
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self.g0
-
-    def alpha(self, k: int) -> np.ndarray:
-        """alpha_k = gamma^0 gamma^k, the velocity matrices."""
-        if k not in (1, 2, 3):
-            raise ValueError(f"spatial index {k} out of range")
-        return self.g0 @ self[k]
-
-
-def default_gammas() -> GammaSet:
-    eye2 = np.eye(2, dtype=np.complex128)
-    zero2 = np.zeros((2, 2), dtype=np.complex128)
-    g0 = np.block([[eye2, zero2], [zero2, -eye2]])
-    spatial = [
-        np.block([[zero2, sigma], [-sigma, zero2]]) for sigma in _PAULI
-    ]
-    return GammaSet(g0, *spatial)
-
-
-GAMMAS = default_gammas()
+#: gamma^0..gamma^3 in the Dirac representation
+GAMMAS = (
+    np.block([[_EYE2, _ZERO2], [_ZERO2, -_EYE2]]),
+    *(np.block([[_ZERO2, sigma], [-sigma, _ZERO2]]) for sigma in _PAULI),
+)
+BETA = GAMMAS[0]
+#: alpha_k = gamma^0 gamma^k for k = 1, 2, 3, the velocity matrices, written
+#: out block by block: a matrix product here would start BLAS at import
+ALPHAS = tuple(np.block([[_ZERO2, sigma], [sigma, _ZERO2]]) for sigma in _PAULI)
 
 
 @dataclass(frozen=True)
@@ -104,7 +81,7 @@ class SpinorPlaneWave:
 
     def field_equation_residual(self) -> float:
         """Max-norm of (gamma^mu p_mu - m) u, zero for a valid spinor."""
-        slash = self.energy * GAMMAS.g0 - sum(
+        slash = self.energy * BETA - sum(
             self.p[k - 1] * GAMMAS[k] for k in (1, 2, 3)
         )
         return float(np.max(np.abs(slash @ self.u - self.mass * self.u)))
@@ -183,11 +160,10 @@ class FourCurrent:
         if self.provenance == "dirac" and np.any(self.rho < 0):
             raise ValueError("spinor density must be nonnegative everywhere")
 
-    def divergence_residual(self, spacings: Sequence[float] | None = None) -> float:
-        spacings = spacings if spacings is not None else self.spacings
-        if spacings is None:
+    def divergence_residual(self) -> float:
+        if self.spacings is None:
             raise ValueError("no grid spacings available for the residual")
-        return numerics.divergence_residual(self.rho, self.j, spacings)
+        return numerics.divergence_residual(self.rho, self.j, self.spacings)
 
 
 def dirac_current(
@@ -203,9 +179,8 @@ def dirac_current(
         raise ValueError("spinor samples must have 4 components on axis 0")
     rho = np.sum(np.abs(psi) ** 2, axis=0)
     j = np.empty((3,) + psi.shape[1:], dtype=float)
-    for k in (1, 2, 3):
-        alpha = GAMMAS.alpha(k)
-        j[k - 1] = np.real(
+    for k, alpha in enumerate(ALPHAS):
+        j[k] = np.real(
             np.einsum("a...,ab,b...->...", np.conj(psi), alpha, psi)
         )
     return FourCurrent(rho=rho, j=j, provenance="dirac", spacings=spacings)
@@ -222,9 +197,8 @@ def dirac_hamiltonian_apply(
     mass: float,
     e: float = 0.0,
     V: Optional[np.ndarray] = None,
-    A: Optional[Sequence[np.ndarray]] = None,
 ) -> np.ndarray:
-    """Apply H = alpha.(-i grad - e A) + e V + beta m on a periodic 3D grid.
+    """Apply H = alpha.(-i grad) + e V + beta m on a periodic 3D grid.
 
     The operator contains no time derivative: it maps one spatial snapshot
     of the spinor to another.  Spatial derivatives use second-order central
@@ -239,13 +213,10 @@ def dirac_hamiltonian_apply(
     if any(n < 3 for n in psi.shape[1:]):
         raise ValueError(f"grid {psi.shape[1:]} too coarse for the stencil")
     out = np.zeros_like(psi)
-    for k in (1, 2, 3):
-        kinetic = -1j * _roll_derivative(psi, axis=k, h=spacings[k - 1])
-        if A is not None:
-            kinetic = kinetic - e * np.asarray(A[k - 1]) * psi
-        alpha = GAMMAS.alpha(k)
+    for k, alpha in enumerate(ALPHAS):
+        kinetic = -1j * _roll_derivative(psi, axis=k + 1, h=spacings[k])
         out += np.einsum("ab,b...->a...", alpha, kinetic)
-    out += np.einsum("ab,b...->a...", mass * GAMMAS.beta, psi)
+    out += np.einsum("ab,b...->a...", mass * BETA, psi)
     if V is not None:
         out += e * np.asarray(V) * psi
     return out
@@ -256,14 +227,13 @@ def kg_current(
     phi_t: np.ndarray,
     grad_phi: np.ndarray,
     V: Optional[np.ndarray] = None,
-    A: Optional[Sequence[np.ndarray]] = None,
     e: float = 0.0,
     spacings: Optional[Tuple[float, ...]] = None,
 ) -> FourCurrent:
     """Scalar 4-current:
 
         rho = i(phi* d0 phi - d0 phi* phi) - 2 e V phi* phi
-        j_k = i(dk phi* phi - phi* dk phi) - 2 e A_k phi* phi
+        j_k = i(dk phi* phi - phi* dk phi)
 
     The time derivative and the gradient (stacked over k on axis 0) are
     supplied by the caller, analytically for the exact solutions sampled here.
@@ -273,17 +243,14 @@ def kg_current(
     if phi_t.shape != phi.shape:
         raise ValueError("phi and its time derivative must share a shape")
     grad_phi = np.asarray(grad_phi)
-    density = np.abs(phi) ** 2
     rho = np.real(1j * (np.conj(phi) * phi_t - np.conj(phi_t) * phi))
     if V is not None:
-        rho = rho - 2.0 * e * np.asarray(V) * density
+        rho = rho - 2.0 * e * np.asarray(V) * np.abs(phi) ** 2
     j = np.empty((3,) + phi.shape, dtype=float)
     for k in range(3):
         j[k] = np.real(
             1j * (np.conj(grad_phi[k]) * phi - np.conj(phi) * grad_phi[k])
         )
-        if A is not None:
-            j[k] = j[k] - 2.0 * e * np.asarray(A[k]) * density
     return FourCurrent(rho=rho, j=j, provenance="kg", spacings=spacings)
 
 

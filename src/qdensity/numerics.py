@@ -2,7 +2,7 @@
 
 Numerical substrate for the ball-integral experiment and the continuity
 checks: composite Gauss-Legendre quadrature over a solid sphere, explicit
-orthonormal spherical harmonics up to l = 4, the lowest nodeless radial
+orthonormal spherical harmonics up to l = 2, the lowest nodeless radial
 modes of the infinite spherical well, and a second-order finite-difference
 residual of the continuity equation d0 rho + div j = 0.
 """
@@ -155,42 +155,23 @@ def _ylm_theta_part(l: int, m: int, c: np.ndarray, s: np.ndarray) -> np.ndarray:
             0: math.sqrt(3.0 / (4.0 * math.pi)) * c,
             1: -math.sqrt(3.0 / (8.0 * math.pi)) * s,
         }[m]
-    if l == 2:
-        return {
-            0: math.sqrt(5.0 / (16.0 * math.pi)) * (3.0 * c**2 - 1.0),
-            1: -math.sqrt(15.0 / (8.0 * math.pi)) * s * c,
-            2: math.sqrt(15.0 / (32.0 * math.pi)) * s**2,
-        }[m]
-    if l == 3:
-        return {
-            0: math.sqrt(7.0 / (16.0 * math.pi)) * (5.0 * c**3 - 3.0 * c),
-            1: -math.sqrt(21.0 / (64.0 * math.pi)) * s * (5.0 * c**2 - 1.0),
-            2: math.sqrt(105.0 / (32.0 * math.pi)) * s**2 * c,
-            3: -math.sqrt(35.0 / (64.0 * math.pi)) * s**3,
-        }[m]
     return {
-        0: (3.0 / (16.0 * _SQRT_PI))
-        * (35.0 * c**4 - 30.0 * c**2 + 3.0),
-        1: -(3.0 / 8.0) * math.sqrt(5.0 / math.pi) * s * (7.0 * c**3 - 3.0 * c),
-        2: (3.0 / 8.0)
-        * math.sqrt(5.0 / (2.0 * math.pi))
-        * s**2
-        * (7.0 * c**2 - 1.0),
-        3: -(3.0 / 8.0) * math.sqrt(35.0 / math.pi) * s**3 * c,
-        4: (3.0 / 16.0) * math.sqrt(35.0 / (2.0 * math.pi)) * s**4,
+        0: math.sqrt(5.0 / (16.0 * math.pi)) * (3.0 * c**2 - 1.0),
+        1: -math.sqrt(15.0 / (8.0 * math.pi)) * s * c,
+        2: math.sqrt(15.0 / (32.0 * math.pi)) * s**2,
     }[m]
 
 
 def spherical_harmonic(l: int, m: int, theta, phi) -> np.ndarray:
-    """Orthonormal Y_lm(theta, phi) for l <= 4, any |m| <= l.
+    """Orthonormal Y_lm(theta, phi) for l <= 2, any |m| <= l.
 
     Normalization: the angular integral of Y*_l'm' Y_lm over the sphere is
     the Kronecker delta in both indices.
     """
     if not isinstance(l, int) or not isinstance(m, int):
         raise ValueError("l and m must be integers")
-    if l < 0 or l > 4:
-        raise ValueError(f"l={l} outside the implemented range 0..4")
+    if l < 0 or l > 2:
+        raise ValueError(f"l={l} outside the implemented range 0..2")
     if abs(m) > l:
         raise ValueError(f"|m|={abs(m)} exceeds l={l}")
     theta = np.asarray(theta, dtype=float)
@@ -208,7 +189,7 @@ def spherical_harmonic(l: int, m: int, theta, phi) -> np.ndarray:
 
 
 def spherical_bessel_j(l: int, x) -> np.ndarray:
-    """j_0, j_1 or j_2, switching to small-argument series where the closed
+    """j_0 or j_1, switching to small-argument series where the closed
     forms lose digits to cancellation (thresholds grow with l)."""
     x = np.asarray(x, dtype=float)
     if l == 0:
@@ -223,17 +204,8 @@ def spherical_bessel_j(l: int, x) -> np.ndarray:
             x / 3.0 - x**3 / 30.0 + x**5 / 840.0,
             np.sin(safe) / safe**2 - np.cos(safe) / safe,
         )
-    elif l == 2:
-        small = np.abs(x) < 0.1
-        safe = np.where(small, 1.0, x)
-        out = np.where(
-            small,
-            x**2 / 15.0 - x**4 / 210.0 + x**6 / 7560.0 - x**8 / 498960.0,
-            (3.0 / safe**2 - 1.0) * np.sin(safe) / safe
-            - 3.0 * np.cos(safe) / safe**2,
-        )
     else:
-        raise ValueError(f"only l in {{0, 1, 2}} is supported, got l={l}")
+        raise ValueError(f"only l in {{0, 1}} is supported, got l={l}")
     return out
 
 

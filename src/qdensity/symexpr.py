@@ -467,13 +467,6 @@ def dirac_charge_density() -> FieldExpr:
     return constant("gamma0") * field("psibar") * field("psi")
 
 
-def dirac_current_component(mu: int) -> FieldExpr:
-    """Component mu of the conserved spinor current psibar gamma^mu psi."""
-    if mu not in (0, 1, 2, 3):
-        raise ValueError(f"current index {mu} out of range")
-    return constant(f"gamma{mu}") * field("psibar") * field("psi")
-
-
 def _scalar_cov0(which: str) -> FieldExpr:
     """(d0 + ieV) phi, or its conjugate-field counterpart (d0 - ieV) phi*."""
     sign = 1 if which == "phi" else -1
@@ -518,17 +511,6 @@ def kg_charge_density() -> FieldExpr:
     return (
         I * (phis * D("phi", 0) - D("phi_star", 0) * phi)
         - 2 * constant("e") * potential("V") * phis * phi
-    )
-
-
-def kg_current_component(k: int) -> FieldExpr:
-    """i((dk phi*) phi - phi* dk phi) - 2 e A_k phi* phi."""
-    if k not in (1, 2, 3):
-        raise ValueError(f"spatial index {k} out of range")
-    phi, phis = field("phi"), field("phi_star")
-    return (
-        I * (D("phi_star", k) * phi - phis * D("phi", k))
-        - 2 * constant("e") * potential(f"A{k}") * phis * phi
     )
 
 

@@ -111,6 +111,15 @@ def test_unknown_config_key_is_named(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_repeated_config_key_is_named(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("R = 1\nresolution = 4\nR = 5\n")
+    assert run_cli(["orthogonality", "--d", "6", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot read config: {path}:3: repeated key 'R'\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("value", ["True", "TRUE", "true"])
 def test_config_refine_is_case_insensitive(tmp_path, value):
     path = tmp_path / "run.cfg"
@@ -141,6 +150,7 @@ def test_config_refine_is_case_insensitive(tmp_path, value):
         (["orthogonality"], "e = nan"),
         (["orthogonality"], "refine = maybe"),
         (["all"], "R = 2"),
+        (["orthogonality", "--d", "2,2"], None),
     ],
 )
 def test_bad_experiment_input_is_usage_error(tmp_path, capsys, argv, config):
@@ -276,6 +286,9 @@ def test_orthogonality_csv_report(tmp_path):
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == "d,re_u,im_u,error"
     assert len(lines) == 3
+    for line in lines[1:]:
+        cells = [float(cell) for cell in line.split(",")]
+        assert len(cells) == 4
 
 
 def test_generic_csv_report(tmp_path):

@@ -18,7 +18,6 @@ from qdensity.numerics import (
     BallGrid,
     RadialMode,
     bisect_root,
-    spherical_bessel_j,
 )
 
 # frozen from the independent high-resolution oracle below (d = 2, default
@@ -196,13 +195,16 @@ def test_cross_product_vanishes_without_potential(grid, states):
 
 def test_orthogonality_matrix_over_low_angular_momenta(grid):
     # distinct (l, m) pairs with l <= 2 are pairwise orthogonal at V = 0;
-    # the l = 2 radial profile is synthetic (nodeless j_2 up to its first
-    # zero), since the well solver intentionally stops at l = 1
-    z2 = bisect_root(lambda x: float(spherical_bessel_j(2, x)), 5.0, 6.5)
+    # the l = 2 radial profile is synthetic (scipy's nodeless j_2 up to its
+    # first zero), since the well solver intentionally stops at l = 1
+    pytest.importorskip("scipy")
+    from scipy.special import spherical_jn
+
+    z2 = bisect_root(lambda x: float(spherical_jn(2, x)), 5.0, 6.5)
 
     class J2Mode(RadialMode):
         def sample(self, r):
-            return spherical_bessel_j(2, self.k * np.asarray(r, dtype=float))
+            return spherical_jn(2, self.k * np.asarray(r, dtype=float))
 
     k2 = z2 / grid.R
     j2_mode = J2Mode(l=2, R=grid.R, k=k2, omega=math.hypot(k2, 1.0))

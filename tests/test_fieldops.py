@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from qdensity.fieldops import (
+    ALPHAS,
     GAMMAS,
     FourCurrent,
     KGPlaneWave,
     SpinorPlaneWave,
-    default_gammas,
     dirac_current,
     dirac_hamiltonian_apply,
     kg_current,
@@ -43,18 +43,12 @@ def test_anticommutation_relations_exact():
 
 
 def test_hermiticity_structure():
-    assert np.array_equal(GAMMAS.g0.conj().T, GAMMAS.g0)
+    assert np.array_equal(GAMMAS[0].conj().T, GAMMAS[0])
     for k in (1, 2, 3):
         assert np.array_equal(GAMMAS[k].conj().T, -GAMMAS[k])
-        alpha = GAMMAS.alpha(k)
+        alpha = ALPHAS[k - 1]
+        assert np.array_equal(alpha, GAMMAS[0] @ GAMMAS[k])
         assert np.array_equal(alpha.conj().T, alpha)
-    with pytest.raises(ValueError):
-        GAMMAS.alpha(0)
-
-
-def test_default_gammas_returns_fresh_set():
-    other = default_gammas()
-    assert np.array_equal(other.g2, GAMMAS.g2)
 
 
 # ----- plane-wave spinors ------------------------------------------------------------
@@ -64,7 +58,7 @@ def test_default_gammas_returns_fresh_set():
 @pytest.mark.parametrize("s", [1, 2])
 def test_spinor_normalization_and_field_equation(p, s):
     wave = SpinorPlaneWave.build(p, MASS, s)
-    ubar_u = np.conj(wave.u) @ GAMMAS.g0 @ wave.u
+    ubar_u = np.conj(wave.u) @ GAMMAS[0] @ wave.u
     assert ubar_u.real == pytest.approx(2.0 * MASS, abs=1e-12)
     assert abs(ubar_u.imag) < 1e-14
     u_dag_u = np.vdot(wave.u, wave.u).real
@@ -90,7 +84,7 @@ def test_rest_frame_current_by_direct_multiplication():
     assert current.rho.flat[0] == pytest.approx(rho_direct, abs=1e-14)
     assert current.rho.flat[0] == pytest.approx(2.0 * MASS, abs=1e-12)
     for k in (1, 2, 3):
-        j_direct = (np.conj(wave.u) @ GAMMAS.alpha(k) @ wave.u).real
+        j_direct = (np.conj(wave.u) @ ALPHAS[k - 1] @ wave.u).real
         assert j_direct == pytest.approx(0.0, abs=1e-14)
         assert current.j[k - 1].flat[0] == pytest.approx(0.0, abs=1e-14)
 

@@ -1,6 +1,8 @@
 """Property tests: linearity of the ball quadrature and of the potential term U,
-and the time independence of |U| for stationary states."""
+the time independence of |U| for stationary states, the exact 1/d^2 decay of
+U, and the ring laws of FieldExpr."""
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +19,14 @@ from qdensity.experiment import (  # noqa: E402
     well_state,
 )
 from qdensity.numerics import BallGrid, integrate_ball  # noqa: E402
+from qdensity.symexpr import (  # noqa: E402
+    ExactComplex,
+    FieldExpr,
+    dirac_lagrangian,
+    kg_charge_density,
+    kg_hamiltonian_density,
+    kg_lagrangian,
+)
 
 GRID = BallGrid.build(1.0, n_panels=4, order=4, n_theta=6, n_phi=4)
 V_UNIT = external_potential(ExternalCharge(q=1.0, d=2.0), GRID)
@@ -69,3 +79,69 @@ def test_potential_term_modulus_is_independent_of_t(t, sigma0, sigma1):
     at_t = abs(potential_term(s0, s1, GRID, V_UNIT, 1.0, t=t))
     assert at_zero > 0.0
     assert _close(at_t, at_zero, at_zero)
+
+
+@functools.lru_cache(maxsize=None)
+def _default_grid_dipole():
+    """States, grid and the U * d^2 reference at d = 2 on the default grid."""
+    grid = BallGrid.build(1.0)
+    s0 = normalize_kg_state(well_state(0, 0, grid, 1.0), grid)
+    s1 = normalize_kg_state(well_state(1, 0, grid, 1.0), grid)
+    return s0, s1, grid, _u_times_d_squared(s0, s1, grid, 2.0)
+
+
+def _u_times_d_squared(s0, s1, grid, d):
+    v = external_potential(ExternalCharge(q=1.0, d=d), grid)
+    return potential_term(s0, s1, grid, v, 1.0) * d**2
+
+
+@settings(deadline=None)
+@given(st.floats(2.0, 100.0))
+def test_potential_term_times_d_squared_is_constant(d):
+    # for d > R only the dipole term of 1/|x - d z| couples Y00 to Y10
+    s0, s1, grid, reference = _default_grid_dipole()
+    scaled = _u_times_d_squared(s0, s1, grid, d)
+    assert abs(scaled - reference) <= 1e-11 * abs(reference)
+
+
+CATALOG_FACTORS = sorted(
+    {
+        factor
+        for expr in (
+            dirac_lagrangian(),
+            kg_lagrangian(),
+            kg_hamiltonian_density(),
+            kg_charge_density(),
+        )
+        for mono in expr.terms
+        for factor in mono
+    }
+)
+small = st.integers(-3, 3)
+leaves = st.one_of(
+    st.sampled_from(CATALOG_FACTORS).map(lambda f: FieldExpr.atom(*f)),
+    st.builds(
+        lambda re, im: FieldExpr.scalar(ExactComplex(Fraction(re), Fraction(im))),
+        small,
+        small,
+    ),
+)
+expressions = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.builds(lambda a, b: a + b, inner, inner),
+        st.builds(lambda a, b: a * b, inner, inner),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(deadline=None)
+@given(expressions, expressions, expressions)
+def test_field_expr_ring_laws(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a - a).is_zero

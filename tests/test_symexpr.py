@@ -14,14 +14,12 @@ from qdensity.symexpr import (
     classify_time_symmetry,
     constant,
     dirac_charge_density,
-    dirac_current_component,
     dirac_field_equation,
     dirac_lagrangian,
     euler_lagrange,
     evaluate,
     field,
     kg_charge_density,
-    kg_current_component,
     kg_field_equation,
     kg_hamiltonian_density,
     kg_lagrangian,
@@ -58,8 +56,6 @@ def catalog_expressions():
         kg_hamiltonian_density(),
         kg_charge_density(),
     )
-    yield from (dirac_current_component(mu) for mu in range(4))
-    yield from (kg_current_component(k) for k in (1, 2, 3))
 
 
 def random_env(seed: int):
@@ -355,12 +351,3 @@ def test_canonical_text_deterministic_and_zero():
     assert canonical_text(FieldExpr.zero()) == "0"
     a = kg_charge_density()
     assert canonical_text(a) == canonical_text(kg_charge_density())
-
-
-def test_current_component_catalog_entries():
-    assert not kg_current_component(1).is_zero
-    assert not dirac_current_component(2).is_zero
-    with pytest.raises(ValueError):
-        kg_current_component(0)
-    with pytest.raises(ValueError):
-        dirac_current_component(7)

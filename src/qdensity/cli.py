@@ -377,7 +377,7 @@ def orthogonality_checks(
                     f"|U| = {_fmt(abs(entry.u))} with e*q = 0",
                 )
             )
-    if report.u_monotone_decreasing_in_d is not None and len(report.sweep) > 1:
+    if report.u_monotone_decreasing_in_d is not None:
         checks.append(
             Check(
                 "u_monotone_decreasing_in_d",

@@ -15,7 +15,7 @@ snapshots over d, with the vector potential of the motion neglected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -42,6 +42,11 @@ SIGN_CONVENTION = (
     "negative at t=0"
 )
 
+#: every nonzero magnitude among R, mass, e, q and the distances d must lie in
+#: this range; outside it the quadrature over- or underflows
+MIN_MAGNITUDE = 1e-30
+MAX_MAGNITUDE = 1e30
+
 
 @dataclass(frozen=True)
 class KGState:
@@ -67,9 +72,6 @@ class KGState:
             self.l, self.m, grid.theta[:, None], grid.phi[None, :]
         )
         return self.norm * f[:, None, None] * ylm[None, :, :]
-
-    def phase(self, t: float) -> complex:
-        return complex(np.exp(1j * self.sigma * self.omega * t))
 
 
 @dataclass(frozen=True)
@@ -102,12 +104,10 @@ def external_potential(charge: ExternalCharge, grid: BallGrid) -> np.ndarray:
     return v[:, :, None]
 
 
-def well_state(
-    l: int, m: int, grid: BallGrid, mass: float, sigma: int = 1
-) -> KGState:
-    """Unnormalized lowest well state with angular indices (l, m)."""
+def well_state(l: int, m: int, grid: BallGrid, mass: float) -> KGState:
+    """Unnormalized lowest well state with angular indices (l, m), sigma = +1."""
     mode = solve_well_mode(l, grid.R, mass)
-    return KGState(sigma=sigma, omega=mode.omega, l=l, m=m, radial=mode)
+    return KGState(sigma=1, omega=mode.omega, l=l, m=m, radial=mode)
 
 
 def normalize_kg_state(state: KGState, grid: BallGrid) -> KGState:
@@ -123,38 +123,24 @@ def normalize_kg_state(state: KGState, grid: BallGrid) -> KGState:
     return replace(state, norm=state.norm * scale)
 
 
-def _cross_overlap(
-    a: KGState, b: KGState, grid: BallGrid, t: float
-) -> Tuple[np.ndarray, complex]:
-    """conj(phi_a) phi_b sampled spatially, plus its time phase factor."""
-    overlap = np.conj(a.spatial(grid)) * b.spatial(grid)
-    phase = np.conj(a.phase(t)) * b.phase(t)
-    return overlap, phase
-
-
-def inner_product(a: KGState, b: KGState, grid: BallGrid, t: float = 0.0) -> complex:
-    """Zero-potential scalar-density inner product at one time snapshot.
+def inner_product(a: KGState, b: KGState, grid: BallGrid) -> complex:
+    """Zero-potential scalar-density inner product at the snapshot t = 0.
 
     Integrates i(phi_a* d0 phi_b - d0 phi_a* phi_b) over the ball: the
     (omega_a + omega_b)-weighted overlap, which vanishes for distinct
     angular indices.  The -2eV part of the density is :func:`potential_term`.
     """
-    overlap, phase = _cross_overlap(a, b, grid, t)
+    overlap = np.conj(a.spatial(grid)) * b.spatial(grid)
     weight = -(a.sigma * a.omega + b.sigma * b.omega)
-    return phase * (weight * integrate_ball(overlap, grid))
+    return weight * integrate_ball(overlap, grid)
 
 
 def potential_term(
-    a: KGState,
-    b: KGState,
-    grid: BallGrid,
-    potential: np.ndarray,
-    e: float,
-    t: float = 0.0,
+    a: KGState, b: KGState, grid: BallGrid, potential: np.ndarray, e: float
 ) -> complex:
-    """The -2eV contribution U to the inner product, isolated."""
-    overlap, phase = _cross_overlap(a, b, grid, t)
-    return phase * (-2.0 * e) * integrate_ball(potential * overlap, grid)
+    """The -2eV contribution U to the inner product at t = 0, isolated."""
+    overlap = np.conj(a.spatial(grid)) * b.spatial(grid)
+    return -2.0 * e * integrate_ball(potential * overlap, grid)
 
 
 # ----- the experiment ----------------------------------------------------------
@@ -189,6 +175,12 @@ class ExperimentConfig:
                 "every sweep distance must be finite and exceed the well "
                 f"radius R={self.R}, got d={list(self.d_values)}"
             )
+        for x in (self.R, self.mass, self.e, self.q, *self.d_values):
+            if x != 0 and not MIN_MAGNITUDE <= abs(x) <= MAX_MAGNITUDE:
+                raise ValueError(
+                    "nonzero R, mass, e, q and d need magnitudes in "
+                    f"[{MIN_MAGNITUDE:g}, {MAX_MAGNITUDE:g}], got {x}"
+                )
         if len(set(self.d_values)) != len(self.d_values):
             raise ValueError(
                 f"sweep distances must be distinct, got d={list(self.d_values)}"
@@ -274,7 +266,8 @@ def run_orthogonality_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     Every reported value is the fine-grid result; its error estimate is the
     difference against the base grid.  Monotone decay of |U| with growing d
-    is evaluated whenever the coupling e*q is nonzero.
+    is evaluated whenever the coupling e*q is nonzero and the sweep has at
+    least two distances; otherwise it is None.
     """
     coarse = BallGrid.build(
         config.R, config.n_panels, config.order, config.n_theta, config.n_phi
@@ -292,22 +285,15 @@ def run_orthogonality_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
 
     monotone: Optional[bool] = None
-    if config.e * config.q != 0.0:
+    if config.e * config.q != 0.0 and len(entries) > 1:
         by_d = sorted(entries, key=lambda entry: entry.d)
         monotone = all(
             abs(a.u) > abs(b.u) for a, b in zip(by_d[:-1], by_d[1:])
         )
 
     parameters = {
-        "R": config.R,
-        "mass": config.mass,
-        "e": config.e,
-        "q": config.q,
+        **asdict(config),
         "d_values": list(config.d_values),
-        "n_panels": config.n_panels,
-        "order": config.order,
-        "n_theta": config.n_theta,
-        "n_phi": config.n_phi,
         "t": 0.0,
         "sigma": 1,
         "model": "quasi-static snapshots of the approaching charge, A=0",

@@ -79,13 +79,6 @@ class SpinorPlaneWave:
         u = np.concatenate([scale * chi, (sigma_p @ chi) / scale])
         return cls(p=p, mass=mass, s=s, energy=energy, u=u)
 
-    def field_equation_residual(self) -> float:
-        """Max-norm of (gamma^mu p_mu - m) u, zero for a valid spinor."""
-        slash = self.energy * BETA - sum(
-            self.p[k - 1] * GAMMAS[k] for k in (1, 2, 3)
-        )
-        return float(np.max(np.abs(slash @ self.u - self.mass * self.u)))
-
     def sample(self, x: Sequence[np.ndarray], t) -> np.ndarray:
         """Spinor field samples, shape (4,) + broadcast shape of x and t."""
         phase = -self.energy * np.asarray(t)
@@ -119,9 +112,6 @@ class KGPlaneWave:
             raise ValueError("wave vector must be a 3-vector")
         omega = math.sqrt(float(k @ k) + mass**2)
         return cls(N=complex(N), omega=omega, k=k, sigma=sigma)
-
-    def dispersion_residual(self, mass: float) -> float:
-        return abs(self.omega**2 - (float(self.k @ self.k) + mass**2))
 
     def sample(self, x: Sequence[np.ndarray], t) -> np.ndarray:
         phase = self.sigma * self.omega * np.asarray(t)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 Factor = Tuple[str, Tuple[int, ...]]
 Monomial = Tuple[Factor, ...]
@@ -70,9 +70,6 @@ class ExactComplex:
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -379,7 +376,7 @@ def set_charge_zero(expr: FieldExpr) -> FieldExpr:
     return _rewrite(expr, {}, "e")
 
 
-# ----- serialization and evaluation -------------------------------------------
+# ----- serialization ----------------------------------------------------------
 
 
 def _factor_text(factor: Factor) -> str:
@@ -401,25 +398,6 @@ def canonical_text(expr: FieldExpr) -> str:
         else:
             lines.append(str(coeff))
     return "\n".join(lines)
-
-
-def evaluate(
-    expr: FieldExpr, env: Mapping[Factor, complex] | Callable[[Factor], complex]
-) -> complex:
-    """Numeric value with every atomic factor assigned independently.
-
-    ``env`` maps factors ``(name, derivs)`` to complex values.  Used by the
-    tests as a structural-identity oracle: two expressions agreeing on random
-    assignments are (with probability one) the same polynomial.
-    """
-    lookup = env if callable(env) else env.__getitem__
-    total = 0j
-    for mono, coeff in expr.terms.items():
-        value = coeff.to_complex()
-        for fac in mono:
-            value *= lookup(fac)
-        total += value
-    return total
 
 
 # ----- catalog of standard expressions ----------------------------------------

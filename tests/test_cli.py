@@ -69,6 +69,27 @@ def test_module_entry_point_runs_without_runpy_warning():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_all_imports_no_test_only_dependency():
+    # scipy, sympy and hypothesis serve the tests alone; a fresh interpreter
+    # that runs `qdensity all` in process must not have loaded any of them
+    src = str(Path(qdensity.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import contextlib, io, sys\n"
+        "from qdensity import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cli.run(cli.parse_args(['all']))\n"
+        "print(status, sorted({'scipy', 'sympy', 'hypothesis'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout == "1 []\n", proc.stderr
+
+
 # ----- configuration files -----------------------------------------------------------
 
 
@@ -151,6 +172,11 @@ def test_config_refine_is_case_insensitive(tmp_path, value):
         (["orthogonality"], "refine = maybe"),
         (["all"], "R = 2"),
         (["orthogonality", "--d", "2,2"], None),
+        (["orthogonality", "--resolution", "4"], "d = 1e155"),
+        (["orthogonality", "--resolution", "4"], "R = 1e-150\nd = 2e-150"),
+        (["orthogonality", "--resolution", "4"], "R = 1e150\nd = 2e150"),
+        (["orthogonality", "--resolution", "4"], "e = 1e155\nq = 1e155"),
+        (["orthogonality"], "e = -1e-31"),
     ],
 )
 def test_bad_experiment_input_is_usage_error(tmp_path, capsys, argv, config):
@@ -234,6 +260,10 @@ def test_orthogonality_json_report(tmp_path):
     experiment = payload["suites"][0]["experiment"]
     assert experiment["sweep"][0]["d"] == 2.0
     assert experiment["sweep"][0]["u_re"] < 0.0
+    # a one-distance sweep neither checks nor claims a monotone decay
+    assert experiment["u_monotone_decreasing_in_d"] is None
+    names = [check["name"] for check in payload["suites"][0]["checks"]]
+    assert "u_monotone_decreasing_in_d" not in names
 
 
 def test_json_report_is_byte_identical_across_runs(tmp_path):

@@ -306,6 +306,8 @@ def test_distant_charge_preserves_orthogonality_in_practice():
     # 1e-8, and a constant potential cannot mix orthogonal harmonics
     report = run_orthogonality_experiment(ExperimentConfig(d_values=(1.0e4,)))
     assert abs(report.sweep[0].u) <= 1e-8
+    # one distance cannot show a decay, so the report claims none
+    assert report.u_monotone_decreasing_in_d is None
 
 
 def test_experiment_rejects_interior_charge():

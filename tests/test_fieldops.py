@@ -24,6 +24,18 @@ def spatial_axes(n, h):
     return np.meshgrid(*axes, indexing="ij")
 
 
+def field_equation_residual(wave):
+    """Max-norm of (gamma^mu p_mu - m) u, zero for a valid spinor."""
+    slash = wave.energy * GAMMAS[0] - sum(
+        wave.p[k - 1] * GAMMAS[k] for k in (1, 2, 3)
+    )
+    return float(np.max(np.abs(slash @ wave.u - wave.mass * wave.u)))
+
+
+def dispersion_residual(wave, mass):
+    return abs(wave.omega**2 - (float(wave.k @ wave.k) + mass**2))
+
+
 def four_axes(nt, dt, n, h):
     t = np.arange(nt) * dt
     x = np.arange(n) * h
@@ -63,7 +75,7 @@ def test_spinor_normalization_and_field_equation(p, s):
     assert abs(ubar_u.imag) < 1e-14
     u_dag_u = np.vdot(wave.u, wave.u).real
     assert u_dag_u == pytest.approx(2.0 * wave.energy, abs=1e-12)
-    assert wave.field_equation_residual() < 1e-12
+    assert field_equation_residual(wave) < 1e-12
 
 
 def test_spinor_argument_validation():
@@ -193,7 +205,7 @@ def test_hamiltonian_grid_validation():
 
 def test_kg_plane_wave_dispersion():
     wave = KGPlaneWave.free(1.0, (0.3, 0.4, 0.0), MASS)
-    assert wave.dispersion_residual(MASS) < 1e-12
+    assert dispersion_residual(wave, MASS) < 1e-12
     with pytest.raises(ValueError):
         KGPlaneWave.free(1.0, (0, 0, 0), MASS, sigma=2)
     with pytest.raises(ValueError):

@@ -311,6 +311,37 @@ def test_linear_conserved_current_is_exact_for_central_differences():
     assert residual < 1e-13
 
 
+def _hand_stencil_residual(rho, j, spacings):
+    """The explicit central-difference stencil, trimmed to the interior."""
+
+    def central(f, axis, h):
+        upper = np.take(f, range(2, f.shape[axis]), axis=axis)
+        lower = np.take(f, range(0, f.shape[axis] - 2), axis=axis)
+        return (upper - lower) / (2.0 * h)
+
+    def crop(f, axis):
+        # central() already trimmed `axis`; trim the other three
+        slices = [slice(1, -1)] * 4
+        slices[axis] = slice(None)
+        return f[tuple(slices)]
+
+    total = crop(central(rho, 0, spacings[0]), 0)
+    for axis in (1, 2, 3):
+        total = total + crop(central(j[axis - 1], axis, spacings[axis]), axis)
+    return float(np.max(np.abs(total)))
+
+
+def test_divergence_residual_equals_hand_stencil_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        shape = tuple(rng.integers(3, 8, size=4))
+        rho = rng.standard_normal(shape)
+        j = rng.standard_normal((3,) + shape)
+        spacings = tuple(rng.uniform(0.01, 1.0, size=4))
+        expected = _hand_stencil_residual(rho, j, spacings)
+        assert divergence_residual(rho, j, spacings) == expected
+
+
 def test_divergence_residual_validation():
     rho = np.ones((2, 4, 4, 4))
     j = np.zeros((3, 2, 4, 4, 4))

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,6 @@ from qdensity.symexpr import (
     dirac_field_equation,
     dirac_lagrangian,
     euler_lagrange,
-    evaluate,
     field,
     kg_charge_density,
     kg_field_equation,
@@ -56,6 +56,22 @@ def catalog_expressions():
         kg_hamiltonian_density(),
         kg_charge_density(),
     )
+
+
+def evaluate(expr: FieldExpr, lookup) -> complex:
+    """Numeric value with every atomic factor assigned independently.
+
+    ``lookup`` maps factors ``(name, derivs)`` to complex values.  Two
+    expressions agreeing on random assignments are (with probability one)
+    the same polynomial, which makes this a structural-identity oracle.
+    """
+    total = 0j
+    for mono, coeff in expr.terms.items():
+        value = complex(coeff.re) + 1j * complex(coeff.im)
+        for fac in mono:
+            value *= lookup(fac)
+        total += value
+    return total
 
 
 def random_env(seed: int):
@@ -260,6 +276,116 @@ def test_interacting_legendre_offset_matches_sympy_derivation():
     rho = i * (phis * d0 - d0s * phi) - 2 * e * V * phis * phi
     assert sp.expand(hamiltonian - quoted - e * V * rho) == 0
     assert sp.expand(hamiltonian - quoted) != 0
+
+
+# fields and potentials are functions of x^0..x^3 once a total derivative is
+# taken; every other symbol (e, m, the gamma tags) is a commuting constant
+SPACETIME_FUNCTIONS = ("phi", "phi_star", "psi", "psibar", "V", "A1", "A2", "A3")
+
+
+def sympy_oracle(sp):
+    """The four golden derivations redone by sympy, and the atom translator.
+
+    Each Lagrangian is written with the fields and their first derivatives
+    as plain symbols, so the partial derivatives are sympy's own.  The
+    results are then lifted to functions of x^0..x^3, where sympy's chain
+    rule supplies the total derivatives of the Euler-Lagrange equations.
+    """
+    x = sp.symbols("x0:4")
+
+    def atom(name, derivs=()):
+        if name not in SPACETIME_FUNCTIONS:
+            return sp.Symbol(name)
+        value = sp.Function(name)(*x)
+        return sp.diff(value, *(x[mu] for mu in derivs)) if derivs else value
+
+    e, m, V = sp.symbols("e m V")
+    A = sp.symbols("A1:4")
+    gamma = sp.symbols("gamma0:4")
+    fields = {name: sp.Symbol(name) for name in ("psi", "psibar", "phi", "phi_star")}
+    grads = {name: sp.symbols(f"d0:4{name}") for name in fields}
+    lift = {V: atom("V"), **{A[k]: atom(f"A{k + 1}") for k in range(3)}}
+    for name, symbol in fields.items():
+        lift[symbol] = atom(name)
+        lift.update({grads[name][mu]: atom(name, (mu,)) for mu in range(4)})
+
+    psi, psibar = fields["psi"], fields["psibar"]
+    gamma_a = V * gamma[0] - sum(A[k] * gamma[k + 1] for k in range(3))
+    dirac = (
+        sum(sp.I * gamma[mu] * psibar * grads["psi"][mu] for mu in range(4))
+        - e * gamma_a * psibar * psi
+        - m * psibar * psi
+    )
+    phi, phis = fields["phi"], fields["phi_star"]
+    d_phi, d_phis = grads["phi"], grads["phi_star"]
+    kg = (d_phis[0] - sp.I * e * V * phis) * (d_phi[0] + sp.I * e * V * phi)
+    for k in (1, 2, 3):
+        cov = d_phi[k] - sp.I * e * A[k - 1] * phi
+        cov_star = d_phis[k] + sp.I * e * A[k - 1] * phis
+        kg -= cov_star * cov
+    kg -= m**2 * phis * phi
+
+    def euler_lagrange(lagrangian, name):
+        result = -sp.diff(lagrangian, fields[name]).xreplace(lift)
+        for mu in range(4):
+            momentum = sp.diff(lagrangian, grads[name][mu]).xreplace(lift)
+            result += sp.diff(momentum, x[mu])
+        return result
+
+    def legendre(lagrangian, names):
+        velocities = [grads[name][0] for name in names]
+        ham = sum(v * sp.diff(lagrangian, v) for v in velocities) - lagrangian
+        return ham.xreplace(lift)
+
+    derivations = {
+        "el_dirac.txt": euler_lagrange(dirac, "psibar"),
+        "el_kg.txt": euler_lagrange(kg, "phi_star"),
+        "legendre_dirac.txt": legendre(dirac, ["psi", "psibar"]),
+        "legendre_kg.txt": legendre(kg, ["phi", "phi_star"]),
+    }
+    return derivations, atom
+
+
+def sympy_from_text(sp, text, atom):
+    """Parse a golden file: one ``coefficient * factor factor ...`` per line."""
+    total = 0
+    for line in text.splitlines():
+        coeff_text, _, factors = line.partition(" * ")
+        parts = re.fullmatch(r"\(?(-?)(\d+(?:/\d+)?)?\)?(i?)", coeff_text)
+        assert parts, f"unsupported coefficient {coeff_text!r}"
+        term = sp.Rational(parts[2] or 1) * (sp.I if parts[3] else 1)
+        term = -term if parts[1] else term
+        for factor in factors.split():
+            derived = re.fullmatch(r"d(\d+)\((\w+)\)", factor)
+            if derived:
+                term *= atom(derived[2], tuple(int(mu) for mu in derived[1]))
+            else:
+                term *= atom(factor)
+        total += term
+    return total
+
+
+def sympy_from_expr(sp, expr: FieldExpr, atom):
+    total = 0
+    for mono, coeff in expr.terms.items():
+        term = sp.Rational(coeff.re) + sp.I * sp.Rational(coeff.im)
+        for name, derivs in mono:
+            term *= atom(name, derivs)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("name", GOLDEN_DERIVATIONS)
+def test_golden_derivations_match_sympy_rederivation(name):
+    # the golden text and the live engine output both equal sympy's result
+    sp = pytest.importorskip("sympy")
+    derivations, atom = sympy_oracle(sp)
+    expected = derivations[name]
+    golden = sympy_from_text(sp, (GOLDEN / name).read_text(), atom)
+    live = sympy_from_expr(sp, GOLDEN_DERIVATIONS[name](), atom)
+    assert expected != 0
+    assert sp.expand(golden - expected) == 0
+    assert sp.expand(live - expected) == 0
 
 
 def test_spinor_legendre_transform_has_no_time_derivative():

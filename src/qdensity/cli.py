@@ -14,7 +14,7 @@ import argparse
 import csv
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -401,19 +401,17 @@ def _parse_d_list(text: str) -> tuple:
     return values
 
 
-CONFIG_KEYS = ("R", "mass", "e", "q", "d", "resolution", "refine")
+#: each config key and the parser of its value
+CONFIG_KEYS = {
+    "R": float, "mass": float, "e": float, "q": float,
+    "d": _parse_d_list, "resolution": int,
+}
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {text!r}")
-    return text.lower() == "true"
-
-
-def load_config(path: str) -> Dict[str, str]:
-    """Flat key=value file over CONFIG_KEYS, each key at most once; blank
-    lines and # comments ignored."""
-    values: Dict[str, str] = {}
+def load_config(path: str) -> dict:
+    """Flat key=value file over CONFIG_KEYS, each key at most once and each
+    value parsed as it is read; blank lines and # comments ignored."""
+    values: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -427,7 +425,10 @@ def load_config(path: str) -> Dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
-            values[key] = value.strip()
+            try:
+                values[key] = CONFIG_KEYS[key](value.strip())
+            except (ValueError, argparse.ArgumentTypeError) as err:
+                raise ValueError(f"{path}:{lineno}: key {key}: {err}") from None
     return values
 
 
@@ -442,13 +443,13 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, claim in SUBCOMMAND_CLAIMS.items():
         p = sub.add_parser(name, help=claim, description=f"Verifies: {claim}")
-        p.add_argument("--config", help="flat key=value parameter file")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument(
             "--format", choices=("json", "csv"), default="json",
             help="report file format (default json)",
         )
         if name in ("orthogonality", "all"):
+            p.add_argument("--config", help="flat key=value parameter file")
             p.add_argument(
                 "--d", type=_parse_d_list, default=None,
                 help="comma-separated charge distances, e.g. 1.5,2,4",
@@ -457,62 +458,40 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
                 "--resolution", type=int, default=None,
                 help="base grid resolution (radial panels and angular orders)",
             )
-            p.add_argument(
-                "--refine", action="store_true",
-                help="double the base resolution used for the error bars",
-            )
     return parser.parse_args(argv)
 
 
 def _experiment_config(
-    args: argparse.Namespace, file_cfg: Dict[str, str]
+    args: argparse.Namespace, values: dict
 ) -> experiment.ExperimentConfig:
-    """Flags over config values over defaults; ValueError names a bad input."""
-
-    def pick(flag_value, key: str, cast, default):
-        if flag_value is not None:
-            return flag_value
-        if key not in file_cfg:
-            return default
-        try:
-            return cast(file_cfg[key])
-        except (ValueError, argparse.ArgumentTypeError) as err:
-            raise ValueError(f"config key {key}: {err}") from None
-
-    resolution = pick(
-        getattr(args, "resolution", None), "resolution", int, 16
-    )
-    if getattr(args, "refine", False) or pick(None, "refine", _parse_bool, False):
-        resolution *= 2
-    return experiment.ExperimentConfig(
-        R=pick(None, "R", float, 1.0),
-        mass=pick(None, "mass", float, 1.0),
-        e=pick(None, "e", float, 1.0),
-        q=pick(None, "q", float, 1.0),
-        d_values=pick(
-            getattr(args, "d", None), "d", _parse_d_list, (1.5, 2.0, 4.0)
-        ),
-        n_panels=resolution,
-        order=8,
-        n_theta=resolution,
-        n_phi=resolution,
-    )
+    """Flags over parsed config values; ExperimentConfig holds the defaults."""
+    given = dict(values)
+    for key in ("d", "resolution"):
+        if getattr(args, key) is not None:
+            given[key] = getattr(args, key)
+    if "d" in given:
+        given["d_values"] = given.pop("d")
+    if "resolution" in given:
+        n = given.pop("resolution")
+        given.update(n_panels=n, n_theta=n, n_phi=n)
+    return experiment.ExperimentConfig(**given)
 
 
-def _write_report(
-    args: argparse.Namespace,
-    report: dict,
-    exp_report: Optional[experiment.ExperimentReport],
-) -> None:
+def _write_report(args: argparse.Namespace, report: dict) -> None:
     if not args.out:
         return
     with open(args.out, "w", newline="") as fh:
         if args.format == "json":
             fh.write(_json_text(report) + "\n")
-        elif args.command == "orthogonality":
-            csv.writer(fh).writerows(exp_report.to_csv_rows())
+            return
+        writer = csv.writer(fh)
+        if args.command == "orthogonality":
+            writer.writerow(["d", "re_u", "im_u", "error"])
+            writer.writerows(
+                [repr(float(entry[k])) for k in ("d", "u_re", "u_im", "error")]
+                for entry in report["suites"][0]["experiment"]["sweep"]
+            )
         else:
-            writer = csv.writer(fh)
             writer.writerow(["suite", "check", "passed", "detail"])
             writer.writerows(
                 [suite["suite"], c["name"], str(c["passed"]).lower(), c["detail"]]
@@ -535,23 +514,23 @@ def run(args: argparse.Namespace) -> int:
     """Execute a parsed command; returns the process exit status."""
     suites = list(_SUITES) if args.command == "all" else [args.command]
 
-    try:
-        file_cfg = load_config(args.config) if args.config else {}
-    except (OSError, ValueError) as err:
-        print(f"error: cannot read config: {err}", file=sys.stderr)
-        return 2
-    try:
-        config = _experiment_config(args, file_cfg)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    if "orthogonality" in suites:
+        try:
+            values = load_config(args.config) if args.config else {}
+        except (OSError, ValueError) as err:
+            print(f"error: cannot read config: {err}", file=sys.stderr)
+            return 2
+        try:
+            config = _experiment_config(args, values)
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
 
     report: dict = {"command": args.command, "suites": []}
-    exp_report = None
     for suite in suites:
         if suite == "orthogonality":
-            checks, exp_report = _SUITES[suite](config)
-            extra = {"experiment": exp_report.to_json_dict()}
+            checks, result = _SUITES[suite](config)
+            extra = {"experiment": result.to_json_dict()}
         else:
             checks, extra = _SUITES[suite](), {}
         report["suites"].append(
@@ -570,7 +549,7 @@ def run(args: argparse.Namespace) -> int:
     ]
     report["passed"] = not failing
     try:
-        _write_report(args, report, exp_report)
+        _write_report(args, report)
     except OSError as err:
         print(f"error: cannot write report: {err}", file=sys.stderr)
         return 2

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 SIGN_CONVENTION = (
-    "states carry exp(+i omega t) phases (sigma=+1 by default); "
+    "states carry exp(+i omega t) phases (sigma=+1); "
     "the first slot of the inner product is conjugated; snapshot time t=0; "
     "with e>0 and the external charge q>0 on the +z axis, U is real and "
     "negative at t=0"
@@ -239,13 +239,6 @@ class ExperimentReport:
             ],
             "u_monotone_decreasing_in_d": self.u_monotone_decreasing_in_d,
         }
-
-    def to_csv_rows(self) -> list:
-        rows = [["d", "re_u", "im_u", "error"]]
-        for entry in self.sweep:
-            values = (entry.d, entry.u.real, entry.u.imag, entry.error)
-            rows.append([repr(float(x)) for x in values])
-        return rows
 
 
 def _sweep_on_grid(

@@ -90,37 +90,28 @@ class SpinorPlaneWave:
 
 @dataclass(frozen=True)
 class KGPlaneWave:
-    """Scalar plane wave N e^{i(k.x + sigma omega t)}.
-
-    ``sigma`` records the sign convention of the time phase; sigma = -1 is
-    the usual positive-frequency wave e^{-i omega t}.
-    """
+    """Positive-frequency scalar plane wave N e^{i(k.x - omega t)}."""
 
     N: complex
     omega: float
     k: np.ndarray
-    sigma: int
 
     @classmethod
-    def free(
-        cls, N: complex, k: Sequence[float], mass: float, sigma: int = -1
-    ) -> "KGPlaneWave":
-        if sigma not in (-1, 1):
-            raise ValueError(f"sigma must be +-1, got {sigma}")
+    def free(cls, N: complex, k: Sequence[float], mass: float) -> "KGPlaneWave":
         k = np.asarray(k, dtype=float)
         if k.shape != (3,):
             raise ValueError("wave vector must be a 3-vector")
         omega = math.sqrt(float(k @ k) + mass**2)
-        return cls(N=complex(N), omega=omega, k=k, sigma=sigma)
+        return cls(N=complex(N), omega=omega, k=k)
 
     def sample(self, x: Sequence[np.ndarray], t) -> np.ndarray:
-        phase = self.sigma * self.omega * np.asarray(t)
+        phase = -self.omega * np.asarray(t)
         for j in range(3):
             phase = phase + self.k[j] * np.asarray(x[j])
         return self.N * np.exp(1j * phase)
 
     def time_derivative(self, x: Sequence[np.ndarray], t) -> np.ndarray:
-        return 1j * self.sigma * self.omega * self.sample(x, t)
+        return -1j * self.omega * self.sample(x, t)
 
     def gradient(self, x: Sequence[np.ndarray], t) -> np.ndarray:
         base = self.sample(x, t)

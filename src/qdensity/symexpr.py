@@ -341,10 +341,8 @@ def swap_fields(expr: FieldExpr, pair: Tuple[str, str]) -> FieldExpr:
     return _rewrite(expr, {a: b, b: a})
 
 
-def classify_time_symmetry(
-    expr: FieldExpr, pair: Tuple[str, str] = ("phi", "phi_star")
-) -> TermSymmetry:
-    """Behaviour of the highest time-derivative terms under pair exchange."""
+def classify_time_symmetry(expr: FieldExpr) -> TermSymmetry:
+    """Behaviour of the highest time-derivative terms under phi <-> phi_star."""
     if expr.is_zero:
         return TermSymmetry.NO_TIME_DERIVATIVE
     top_weight = max(_time_weight(m) for m in expr.terms)
@@ -353,7 +351,7 @@ def classify_time_symmetry(
     top = FieldExpr(
         {m: c for m, c in expr.terms.items() if _time_weight(m) == top_weight}
     )
-    swapped = swap_fields(top, pair)
+    swapped = swap_fields(top, ("phi", "phi_star"))
     if swapped == top:
         return TermSymmetry.SYMMETRIC
     if swapped == -top:

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import qdensity
-from qdensity.cli import load_config, main, parse_args, run
+from qdensity.cli import CONFIG_KEYS, load_config, main, parse_args, run
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run_cli(argv):
@@ -41,6 +44,47 @@ def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as err:
         parse_args(["dimensions", "--frobnicate"])
     assert err.value.code != 0
+
+
+# every option string of every subcommand; a new knob must be added here
+_REPORT_OPTIONS = {"-h", "--help", "--out", "--format"}
+_EXPERIMENT_OPTIONS = _REPORT_OPTIONS | {"--config", "--d", "--resolution"}
+OPTION_TABLE = {
+    "dimensions": _REPORT_OPTIONS,
+    "derive": _REPORT_OPTIONS,
+    "symmetry": _REPORT_OPTIONS,
+    "continuity": _REPORT_OPTIONS,
+    "dirac-consistency": _REPORT_OPTIONS,
+    "orthogonality": _EXPERIMENT_OPTIONS,
+    "all": _EXPERIMENT_OPTIONS,
+}
+
+
+def test_option_surface_matches_the_table(monkeypatch):
+    # have parse_args hand back the parser it built instead of parsing
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "parse_args", lambda self, argv=None: self
+    )
+    parser = parse_args([])
+    (subparsers,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    surface = {
+        name: {opt for action in sub._actions for opt in action.option_strings}
+        for name, sub in subparsers.choices.items()
+    }
+    assert surface == OPTION_TABLE
+
+
+@pytest.mark.parametrize(
+    "command", ["dimensions", "derive", "symmetry", "continuity", "dirac-consistency"]
+)
+def test_config_is_rejected_where_there_are_no_parameters(tmp_path, command):
+    path = tmp_path / "run.cfg"
+    path.write_text("R = 5\n")
+    with pytest.raises(SystemExit) as err:
+        parse_args([command, "--config", str(path)])
+    assert err.value.code == 2
 
 
 def test_bad_distance_list_is_usage_error():
@@ -97,7 +141,12 @@ def test_config_file_parsing(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\n\ne = 0\nd = 2,4\nresolution = 8\n")
     values = load_config(str(path))
-    assert values == {"e": "0", "d": "2,4", "resolution": "8"}
+    assert values == {"e": 0.0, "d": (2.0, 4.0), "resolution": 8}
+
+
+def test_readme_lists_the_config_keys():
+    match = re.search(r"keys: ([^)]*)\)", README.read_text())
+    assert re.findall(r"`([^`]+)`", match.group(1)) == list(CONFIG_KEYS)
 
 
 def test_config_file_rejects_garbage(tmp_path):
@@ -141,17 +190,6 @@ def test_repeated_config_key_is_named(tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("value", ["True", "TRUE", "true"])
-def test_config_refine_is_case_insensitive(tmp_path, value):
-    path = tmp_path / "run.cfg"
-    path.write_text(f"refine = {value}\nresolution = 4\nd = 2\n")
-    out_path = tmp_path / "report.json"
-    argv = ["orthogonality", "--config", str(path), "--out", str(out_path)]
-    assert run_cli(argv) == 0
-    experiment = json.loads(out_path.read_text())["suites"][0]["experiment"]
-    assert experiment["parameters"]["n_panels"] == 8
-
-
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -177,6 +215,8 @@ def test_config_refine_is_case_insensitive(tmp_path, value):
         (["orthogonality", "--resolution", "4"], "R = 1e150\nd = 2e150"),
         (["orthogonality", "--resolution", "4"], "e = 1e155\nq = 1e155"),
         (["orthogonality"], "e = -1e-31"),
+        (["orthogonality", "--d", "2"], "d = abc"),
+        (["orthogonality", "--resolution", "4", "--d", "2"], "resolution = 2.5"),
     ],
 )
 def test_bad_experiment_input_is_usage_error(tmp_path, capsys, argv, config):
@@ -187,6 +227,24 @@ def test_bad_experiment_input_is_usage_error(tmp_path, capsys, argv, config):
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, text, key",
+    [
+        (["orthogonality", "--d", "2"], "R = 1.5\nd = abc\n", "d"),
+        (["all", "--resolution", "4"], "e = 0\nresolution = 2.5\n", "resolution"),
+    ],
+)
+def test_bad_config_value_names_file_and_line(tmp_path, capsys, argv, text, key):
+    # a flag that overrides the key does not hide the bad value
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert run_cli(argv + ["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read config: {path}:2: key {key}: ")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
 
@@ -316,9 +374,13 @@ def test_orthogonality_csv_report(tmp_path):
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == "d,re_u,im_u,error"
     assert len(lines) == 3
-    for line in lines[1:]:
-        cells = [float(cell) for cell in line.split(",")]
-        assert len(cells) == 4
+    # the rows are the JSON report's sweep, each float in its repr
+    json_path = tmp_path / "sweep.json"
+    run_cli(["orthogonality", "--d", "2,4", "--resolution", "8", "--out", str(json_path)])
+    sweep = json.loads(json_path.read_text())["suites"][0]["experiment"]["sweep"]
+    for line, entry in zip(lines[1:], sweep):
+        expected = [repr(float(entry[k])) for k in ("d", "u_re", "u_im", "error")]
+        assert line.split(",") == expected
 
 
 def test_generic_csv_report(tmp_path):
@@ -361,3 +423,9 @@ def test_report_matches_golden_bytes(tmp_path, command, status):
     assert run_cli([command, "--out", str(out_path)]) == status
     golden = GOLDEN / f"report_{command}.json"
     assert out_path.read_bytes() == golden.read_bytes()
+
+
+def test_all_stdout_matches_golden_bytes(capsys):
+    assert run_cli(["all"]) == 1
+    golden = GOLDEN / "stdout_all.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()

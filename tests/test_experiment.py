@@ -325,6 +325,3 @@ def test_report_serialization_round_trip_and_determinism():
     assert {"d", "u_re", "u_im", "u_raw_re", "u_raw_im", "error"} <= set(
         payload["sweep"][0]
     )
-    rows = first.to_csv_rows()
-    assert rows[0] == ["d", "re_u", "im_u", "error"]
-    assert len(rows) == 2

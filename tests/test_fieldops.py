@@ -207,13 +207,11 @@ def test_kg_plane_wave_dispersion():
     wave = KGPlaneWave.free(1.0, (0.3, 0.4, 0.0), MASS)
     assert dispersion_residual(wave, MASS) < 1e-12
     with pytest.raises(ValueError):
-        KGPlaneWave.free(1.0, (0, 0, 0), MASS, sigma=2)
-    with pytest.raises(ValueError):
         KGPlaneWave.free(1.0, (0, 0), MASS)
 
 
 def test_free_plane_wave_density_is_uniform():
-    wave = KGPlaneWave.free(0.8 + 0.3j, (0.6, 0.2, -0.5), MASS, sigma=-1)
+    wave = KGPlaneWave.free(0.8 + 0.3j, (0.6, 0.2, -0.5), MASS)
     tt, xyz = four_axes(4, 0.13, 5, 0.21)
     phi = wave.sample(xyz, tt)
     current = kg_current(
@@ -241,7 +239,7 @@ def test_real_uncharged_field_has_identically_zero_density():
 
 def test_constant_potential_shifts_density():
     # stationary uniform state: rho picks up the -2eV|phi|^2 shift
-    wave = KGPlaneWave.free(1.3, (0.0, 0.0, 0.0), MASS, sigma=-1)
+    wave = KGPlaneWave.free(1.3, (0.0, 0.0, 0.0), MASS)
     tt, xyz = four_axes(3, 0.1, 3, 0.1)
     phi = wave.sample(xyz, tt)
     e, v0 = 0.7, 0.4

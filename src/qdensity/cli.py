@@ -392,13 +392,13 @@ def orthogonality_checks(
 
 
 def _parse_d_list(text: str) -> tuple:
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise argparse.ArgumentTypeError(f"empty item in distance list {text!r}")
     try:
-        values = tuple(float(part) for part in text.split(",") if part)
+        return tuple(float(part) for part in parts)
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"bad distance list {text!r}") from err
-    if not values:
-        raise argparse.ArgumentTypeError("empty distance list")
-    return values
 
 
 #: each config key and the parser of its value

@@ -101,13 +101,13 @@ class BallGrid:
         return len(self.r), len(self.cos_theta), len(self.phi)
 
     def volume_weights(self) -> np.ndarray:
-        """Full measure r^2 dr dcos(theta) dphi, shape (n_r, n_theta, n_phi)."""
-        radial = self.w_r * self.r**2
-        return (
-            radial[:, None, None]
-            * self.w_theta[None, :, None]
-            * self.w_phi[None, None, :]
-        )
+        """Full measure r^2 dr dcos(theta) dphi, shape (n_r, n_theta, n_phi),
+        built once per grid: every call returns the same read-only array."""
+        if "_weights" not in self.__dict__:
+            radial = (self.w_r * self.r**2)[:, None, None]
+            self.__dict__["_weights"] = radial * self.w_theta[:, None] * self.w_phi
+            self.__dict__["_weights"].setflags(write=False)
+        return self.__dict__["_weights"]
 
     def refined(self, factor: int = 2) -> "BallGrid":
         """Grid with all resolution parameters scaled by ``factor``."""
@@ -125,6 +125,7 @@ def integrate_ball(f: np.ndarray, grid: BallGrid) -> complex:
 
     ``f`` must be broadcastable to the grid shape (n_r, n_theta, n_phi),
     which admits axisymmetric integrands sampled as (n_r, n_theta, 1).
+    The weights are :meth:`BallGrid.volume_weights`, built once per grid.
     """
     f = np.asarray(f)
     try:

@@ -93,6 +93,21 @@ def test_bad_distance_list_is_usage_error():
     assert err.value.code != 0
 
 
+@pytest.mark.parametrize("text", ["2,,4", "2,4,", ",2", "2, ,4", ""])
+def test_empty_distance_item_is_usage_error(capsys, text):
+    # a dropped item would run a shorter sweep than the one asked for
+    with pytest.raises(SystemExit) as err:
+        parse_args(["orthogonality", "--d", text])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [
+        f"qdensity orthogonality: error: argument --d: "
+        f"empty item in distance list {text!r}"
+    ]
+    assert captured.out == ""
+
+
 def test_main_propagates_exit_status():
     with pytest.raises(SystemExit) as err:
         main(["dimensions"])
@@ -228,6 +243,20 @@ def test_bad_experiment_input_is_usage_error(tmp_path, capsys, argv, config):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", ["d = 2,,4", "d = 2,4,", "d ="])
+def test_empty_distance_item_in_config_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text + "\n")
+    assert run_cli(["orthogonality", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    value = text.partition("=")[2].strip()
+    assert captured.err == (
+        f"error: cannot read config: {path}:1: key d: "
+        f"empty item in distance list {value!r}\n"
+    )
     assert captured.out == ""
 
 

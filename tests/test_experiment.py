@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from qdensity.experiment import (
     ExternalCharge,
     KGState,
     external_potential,
-    inner_product,
     normalize_kg_state,
     potential_term,
     run_orthogonality_experiment,
@@ -18,6 +18,7 @@ from qdensity.numerics import (
     BallGrid,
     RadialMode,
     bisect_root,
+    integrate_ball,
 )
 
 # frozen from the independent high-resolution oracle below (d = 2, default
@@ -39,7 +40,19 @@ def states(grid):
     return s0, s1
 
 
-# ----- independent oracle ---------------------------------------------------------
+# ----- independent oracles ---------------------------------------------------------
+
+
+def inner_product(a, b, grid):
+    """Zero-potential scalar-density inner product at the snapshot t = 0.
+
+    Integrates i(phi_a* d0 phi_b - d0 phi_a* phi_b) over the ball: the
+    (omega_a + omega_b)-weighted overlap, which vanishes for distinct
+    angular indices.  The experiment's I01 is this product of its two states.
+    """
+    overlap = np.conj(a.spatial(grid)) * b.spatial(grid)
+    weight = -(a.sigma * a.omega + b.sigma * b.omega)
+    return weight * integrate_ball(overlap, grid)
 
 
 def _simpson_weights(n):
@@ -292,6 +305,61 @@ def test_default_experiment_report():
         )
     d2 = next(entry for entry in report.sweep if entry.d == 2.0)
     assert d2.u.real == pytest.approx(EXPECTED_U_D2, rel=1e-9)
+
+
+SMALL = ExperimentConfig(
+    R=1.3, mass=0.7, e=-1.7, q=0.6, d_values=(1.4, 2.9, 7.5),
+    n_panels=3, order=4, n_theta=5, n_phi=3,
+)
+
+
+def _i01_and_u_by_functions(grid):
+    s0 = normalize_kg_state(well_state(0, 0, grid, SMALL.mass), grid)
+    s1 = normalize_kg_state(well_state(1, 0, grid, SMALL.mass), grid)
+    u = [
+        potential_term(
+            s0, s1, grid, external_potential(ExternalCharge(SMALL.q, d), grid), SMALL.e
+        )
+        for d in SMALL.d_values
+    ]
+    return inner_product(s0, s1, grid), u
+
+
+def test_report_equals_potential_term_and_inner_product_exactly():
+    # the sweep forms the overlap and fetches the weights once per grid; each
+    # value must still carry the bits of the one-call-per-value functions
+    report = run_orthogonality_experiment(SMALL)
+    coarse = BallGrid.build(
+        SMALL.R, SMALL.n_panels, SMALL.order, SMALL.n_theta, SMALL.n_phi
+    )
+    (i01_c, u_c), (i01_f, u_f) = map(
+        _i01_and_u_by_functions, (coarse, coarse.refined(2))
+    )
+    assert report.i01 == i01_f
+    assert report.i01_error == abs(i01_f - i01_c)
+    assert [entry.d for entry in report.sweep] == list(SMALL.d_values)
+    for entry, uc, uf in zip(report.sweep, u_c, u_f):
+        assert entry.u == uf
+        assert entry.error == abs(uf - uc)
+
+
+def test_state_samplings_do_not_grow_with_the_sweep(monkeypatch):
+    calls = []
+    original = KGState.spatial
+
+    def counted(self, grid):
+        calls.append(grid.shape)
+        return original(self, grid)
+
+    monkeypatch.setattr(KGState, "spatial", counted)
+    counts = []
+    for n in (1, 16):
+        calls.clear()
+        d_values = tuple(1.5 + 0.25 * k for k in range(n))
+        run_orthogonality_experiment(replace(SMALL, d_values=d_values))
+        counts.append(len(calls))
+    # per grid: two unnormalized samplings to normalize, two for the overlap
+    assert counts == [8, 8]
 
 
 def test_uncoupled_experiment_reports_exact_zeros():

@@ -75,6 +75,22 @@ def test_ball_weights_sum_to_volume(grid):
     assert abs(total - volume) / volume < 1e-12
 
 
+def test_volume_weights_are_built_once_and_read_only():
+    grid = BallGrid.build(1.0, n_panels=2, order=2, n_theta=3, n_phi=2)
+    weights = grid.volume_weights()
+    assert grid.volume_weights() is weights
+    radial = grid.w_r * grid.r**2
+    product = (
+        radial[:, None, None] * grid.w_theta[None, :, None] * grid.w_phi[None, None, :]
+    )
+    assert np.array_equal(weights, product)
+    with pytest.raises(ValueError):
+        weights[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        weights *= 2.0
+    assert grid.refined(2).volume_weights() is not weights
+
+
 def test_grid_nodes_inside_open_ranges(grid):
     assert np.all((grid.r > 0.0) & (grid.r < grid.R))
     assert np.all((grid.cos_theta > -1.0) & (grid.cos_theta < 1.0))

@@ -456,7 +456,8 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
             )
             p.add_argument(
                 "--resolution", type=int, default=None,
-                help="base grid resolution (radial panels and angular orders)",
+                help="base grid resolution: radial panels and polar order "
+                "(the azimuth takes one node, exact for these m = 0 integrands)",
             )
     return parser.parse_args(argv)
 

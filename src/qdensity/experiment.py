@@ -143,6 +143,9 @@ def potential_term(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Physics and base grid; the fine grid doubles n_panels and n_theta.  Every
+    integrand has m = 0, so both grids use one azimuth node; n_phi is only reported."""
+
     R: float = 1.0
     mass: float = 1.0
     e: float = 1.0
@@ -237,13 +240,13 @@ class ExperimentReport:
 
 
 def _sweep_on_grid(
-    config: ExperimentConfig, grid: BallGrid
+    config: ExperimentConfig, grid: BallGrid, raw: Tuple[KGState, KGState]
 ) -> Tuple[complex, list, KGState, KGState]:
-    """I01 and U(d) for every d on one grid: the states, their overlap and the
-    volume weights are made once, then each d costs one potential and one sum.
-    The overlap is formed in place: a third grid-sized array made peak RSS vary."""
-    state0 = normalize_kg_state(well_state(0, 0, grid, config.mass), grid)
-    state1 = normalize_kg_state(well_state(1, 0, grid, config.mass), grid)
+    """I01 and U(d) for every d on one grid: the raw states are normalized, and
+    their overlap and the volume weights made once; each d costs one potential
+    and one sum.  The overlap is formed in place: a third grid-sized array made
+    peak RSS vary."""
+    state0, state1 = (normalize_kg_state(state, grid) for state in raw)
     overlap = state0.spatial(grid)
     np.multiply(np.conj(overlap, out=overlap), state1.spatial(grid), out=overlap)
     weights = grid.volume_weights()
@@ -265,12 +268,15 @@ def run_orthogonality_experiment(config: ExperimentConfig) -> ExperimentReport:
     is evaluated whenever the coupling e*q is nonzero and the sweep has at
     least two distances; otherwise it is None.
     """
-    coarse = BallGrid.build(
-        config.R, config.n_panels, config.order, config.n_theta, config.n_phi
+    # Y00, Y10 and the on-axis V have m = 0, so one azimuth node is exact
+    coarse = BallGrid.build(config.R, config.n_panels, config.order, config.n_theta, 1)
+    fine = BallGrid.build(
+        config.R, 2 * config.n_panels, config.order, 2 * config.n_theta, 1
     )
-    fine = coarse.refined(2)
-    i01_c, u_c, _s0, _s1 = _sweep_on_grid(config, coarse)
-    i01_f, u_f, state0, state1 = _sweep_on_grid(config, fine)
+    # the well modes depend on R and the mass only: solve each once
+    raw = (well_state(0, 0, coarse, config.mass), well_state(1, 0, coarse, config.mass))
+    i01_c, u_c, _s0, _s1 = _sweep_on_grid(config, coarse, raw)
+    i01_f, u_f, state0, state1 = _sweep_on_grid(config, fine, raw)
     norm0, norm1 = abs(state0.norm), abs(state1.norm)
 
     entries = [
@@ -285,6 +291,7 @@ def run_orthogonality_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     parameters = {
         **asdict(config),
+        "n_phi_effective": 1,
         "d_values": list(config.d_values),
         "t": 0.0,
         "sigma": 1,

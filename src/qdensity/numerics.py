@@ -109,16 +109,6 @@ class BallGrid:
             self.__dict__["_weights"].setflags(write=False)
         return self.__dict__["_weights"]
 
-    def refined(self, factor: int = 2) -> "BallGrid":
-        """Grid with all resolution parameters scaled by ``factor``."""
-        return BallGrid.build(
-            self.R,
-            n_panels=self.n_panels * factor,
-            order=self.order,
-            n_theta=len(self.cos_theta) * factor,
-            n_phi=len(self.phi) * factor,
-        )
-
 
 def integrate_ball(f: np.ndarray, grid: BallGrid) -> complex:
     """Weighted sum of samples over the ball; linear in the samples.

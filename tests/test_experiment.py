@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qdensity import experiment
 from qdensity.experiment import (
     ExperimentConfig,
     ExternalCharge,
@@ -38,6 +39,17 @@ def states(grid):
     s0 = normalize_kg_state(well_state(0, 0, grid, mass=1.0), grid)
     s1 = normalize_kg_state(well_state(1, 0, grid, mass=1.0), grid)
     return s0, s1
+
+
+def refined(grid, factor=2):
+    """The grid with radial panels and both angular orders scaled by factor."""
+    return BallGrid.build(
+        grid.R,
+        n_panels=grid.n_panels * factor,
+        order=grid.order,
+        n_theta=len(grid.cos_theta) * factor,
+        n_phi=len(grid.phi) * factor,
+    )
 
 
 # ----- independent oracles ---------------------------------------------------------
@@ -241,7 +253,7 @@ def test_orthogonality_matrix_over_low_angular_momenta(grid):
 
 def test_grid_mismatch_between_profile_and_radial_samples(grid):
     # states resample their profile on whatever grid they are integrated on
-    fine = grid.refined(2)
+    fine = refined(grid)
     state = normalize_kg_state(well_state(0, 0, grid, mass=1.0), grid)
     value = inner_product(state, state, fine)
     assert abs(abs(value) - 1.0) < 1e-9
@@ -313,27 +325,30 @@ SMALL = ExperimentConfig(
 )
 
 
-def _i01_and_u_by_functions(grid):
-    s0 = normalize_kg_state(well_state(0, 0, grid, SMALL.mass), grid)
-    s1 = normalize_kg_state(well_state(1, 0, grid, SMALL.mass), grid)
+def _i01_and_u_by_functions(config, grid):
+    s0 = normalize_kg_state(well_state(0, 0, grid, config.mass), grid)
+    s1 = normalize_kg_state(well_state(1, 0, grid, config.mass), grid)
     u = [
         potential_term(
-            s0, s1, grid, external_potential(ExternalCharge(SMALL.q, d), grid), SMALL.e
+            s0, s1, grid, external_potential(ExternalCharge(config.q, d), grid),
+            config.e,
         )
-        for d in SMALL.d_values
+        for d in config.d_values
     ]
     return inner_product(s0, s1, grid), u
 
 
 def test_report_equals_potential_term_and_inner_product_exactly():
     # the sweep forms the overlap and fetches the weights once per grid; each
-    # value must still carry the bits of the one-call-per-value functions
+    # value must still carry the bits of the one-call-per-value functions on
+    # the experiment's own grids, which take one azimuth node
     report = run_orthogonality_experiment(SMALL)
-    coarse = BallGrid.build(
-        SMALL.R, SMALL.n_panels, SMALL.order, SMALL.n_theta, SMALL.n_phi
+    coarse = BallGrid.build(SMALL.R, SMALL.n_panels, SMALL.order, SMALL.n_theta, 1)
+    fine = BallGrid.build(
+        SMALL.R, 2 * SMALL.n_panels, SMALL.order, 2 * SMALL.n_theta, 1
     )
-    (i01_c, u_c), (i01_f, u_f) = map(
-        _i01_and_u_by_functions, (coarse, coarse.refined(2))
+    (i01_c, u_c), (i01_f, u_f) = (
+        _i01_and_u_by_functions(SMALL, g) for g in (coarse, fine)
     )
     assert report.i01 == i01_f
     assert report.i01_error == abs(i01_f - i01_c)
@@ -341,6 +356,41 @@ def test_report_equals_potential_term_and_inner_product_exactly():
     for entry, uc, uf in zip(report.sweep, u_c, u_f):
         assert entry.u == uf
         assert entry.error == abs(uf - uc)
+
+
+@pytest.mark.parametrize(
+    "config", [SMALL, ExperimentConfig()], ids=["small", "default"]
+)
+def test_one_azimuth_node_matches_full_3d_grids(config):
+    # every integrand has m = 0, so 16 and 32 azimuth nodes must give the
+    # one-node values up to rounding
+    report = run_orthogonality_experiment(config)
+    coarse = BallGrid.build(config.R, config.n_panels, config.order, config.n_theta, 16)
+    (i01_c, u_c), (i01_f, u_f) = (
+        _i01_and_u_by_functions(config, g) for g in (coarse, refined(coarse))
+    )
+    assert abs(report.i01 - i01_f) <= 1e-15
+    assert abs(report.i01_error - abs(i01_f - i01_c)) <= 1e-15
+    for entry, uc, uf in zip(report.sweep, u_c, u_f):
+        assert abs(entry.u - uf) <= 1e-14 * abs(uf)
+        assert abs(entry.error - abs(uf - uc)) <= 1e-14 * abs(uf)
+
+
+def test_report_does_not_depend_on_the_given_n_phi():
+    payloads = []
+    for n_phi in (1, 3, 16):
+        report = run_orthogonality_experiment(replace(SMALL, n_phi=n_phi))
+        payload = report.to_json_dict()
+        assert payload["parameters"].pop("n_phi") == n_phi
+        assert payload["parameters"]["n_phi_effective"] == 1
+        payloads.append(payload)
+    assert payloads[0] == payloads[1] == payloads[2]
+
+
+def test_zero_azimuth_nodes_rejected():
+    # the experiment ignores n_phi, yet an impossible grid size stays an error
+    with pytest.raises(ValueError, match="n_phi"):
+        replace(SMALL, n_phi=0)
 
 
 def test_state_samplings_do_not_grow_with_the_sweep(monkeypatch):
@@ -358,8 +408,26 @@ def test_state_samplings_do_not_grow_with_the_sweep(monkeypatch):
         d_values = tuple(1.5 + 0.25 * k for k in range(n))
         run_orthogonality_experiment(replace(SMALL, d_values=d_values))
         counts.append(len(calls))
+        # both grids are axisymmetric: one azimuth node whatever n_phi says
+        assert all(shape[2] == 1 for shape in calls)
     # per grid: two unnormalized samplings to normalize, two for the overlap
     assert counts == [8, 8]
+
+
+def test_well_modes_are_solved_once_per_experiment(monkeypatch):
+    calls = []
+    original = experiment.solve_well_mode
+
+    def counted(l, R, mass):
+        calls.append(l)
+        return original(l, R, mass)
+
+    monkeypatch.setattr(experiment, "solve_well_mode", counted)
+    for n in (1, 16):
+        calls.clear()
+        d_values = tuple(1.5 + 0.25 * k for k in range(n))
+        run_orthogonality_experiment(replace(SMALL, d_values=d_values))
+        assert sorted(calls) == [0, 1]
 
 
 def test_uncoupled_experiment_reports_exact_zeros():

@@ -88,7 +88,8 @@ def test_volume_weights_are_built_once_and_read_only():
         weights[0, 0, 0] = 0.0
     with pytest.raises(ValueError):
         weights *= 2.0
-    assert grid.refined(2).volume_weights() is not weights
+    other = BallGrid.build(1.0, n_panels=4, order=2, n_theta=6, n_phi=4)
+    assert other.volume_weights() is not weights
 
 
 def test_grid_nodes_inside_open_ranges(grid):

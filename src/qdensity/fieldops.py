@@ -49,6 +49,15 @@ BETA = GAMMAS[0]
 ALPHAS = tuple(np.block([[_ZERO2, sigma], [sigma, _ZERO2]]) for sigma in _PAULI)
 
 
+def _plane_wave(omega: float, k: np.ndarray, x: Sequence[np.ndarray], t) -> np.ndarray:
+    """e^{i(k.x - omega t)} as a product of per-axis factors, 1D exps on open grids.
+    np.multiply fixes the operand order, which `*` may swap into a temporary."""
+    wave = np.exp(-1j * (omega * np.asarray(t)))
+    for j in range(3):
+        wave = np.multiply(wave, np.exp(1j * (k[j] * np.asarray(x[j]))))
+    return wave
+
+
 @dataclass(frozen=True)
 class SpinorPlaneWave:
     """Positive-energy plane-wave spinor u(p, s) e^{i(p.x - E t)}.
@@ -81,10 +90,7 @@ class SpinorPlaneWave:
 
     def sample(self, x: Sequence[np.ndarray], t) -> np.ndarray:
         """Spinor field samples, shape (4,) + broadcast shape of x and t."""
-        phase = -self.energy * np.asarray(t)
-        for k in range(3):
-            phase = phase + self.p[k] * np.asarray(x[k])
-        wave = np.exp(1j * phase)
+        wave = _plane_wave(self.energy, self.p, x, t)
         return self.u.reshape((4,) + (1,) * wave.ndim) * wave
 
 
@@ -105,10 +111,7 @@ class KGPlaneWave:
         return cls(N=complex(N), omega=omega, k=k)
 
     def sample(self, x: Sequence[np.ndarray], t) -> np.ndarray:
-        phase = -self.omega * np.asarray(t)
-        for j in range(3):
-            phase = phase + self.k[j] * np.asarray(x[j])
-        return self.N * np.exp(1j * phase)
+        return self.N * _plane_wave(self.omega, self.k, x, t)
 
     def time_derivative(self, x: Sequence[np.ndarray], t) -> np.ndarray:
         return -1j * self.omega * self.sample(x, t)
@@ -159,11 +162,10 @@ def dirac_current(
     if psi.ndim < 1 or psi.shape[0] != 4:
         raise ValueError("spinor samples must have 4 components on axis 0")
     rho = np.sum(np.abs(psi) ** 2, axis=0)
-    j = np.empty((3,) + psi.shape[1:], dtype=float)
-    for k, alpha in enumerate(ALPHAS):
-        j[k] = np.real(
-            np.einsum("a...,ab,b...->...", np.conj(psi), alpha, psi)
-        )
+    # psi^dag alpha_k psi = 2 Re(up^dag sigma_k lo) on the 2-spinor blocks
+    up, lo = np.conj(psi[:2]), psi[2:]
+    a, b, c = up[0] * lo[1], up[1] * lo[0], up[0] * lo[0] - up[1] * lo[1]
+    j = 2.0 * np.stack([(a + b).real, (a - b).imag, c.real])
     return FourCurrent(rho=rho, j=j, provenance="dirac", spacings=spacings)
 
 
@@ -196,8 +198,8 @@ def dirac_hamiltonian_apply(
     out = np.zeros_like(psi)
     for k, alpha in enumerate(ALPHAS):
         kinetic = -1j * _roll_derivative(psi, axis=k + 1, h=spacings[k])
-        out += np.einsum("ab,b...->a...", alpha, kinetic)
-    out += np.einsum("ab,b...->a...", mass * BETA, psi)
+        out += np.tensordot(alpha, kinetic, axes=1)
+    out += np.tensordot(mass * BETA, psi, axes=1)
     if V is not None:
         out += e * np.asarray(V) * psi
     return out

@@ -8,6 +8,7 @@ residual of the continuity equation d0 rho + div j = 0.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
@@ -219,8 +220,11 @@ def bisect_root(
     return 0.5 * (lo + hi)
 
 
-# brackets isolating the first positive zero of j_l
-_FIRST_ZERO_BRACKET = {0: (2.5, 4.0), 1: (3.5, 6.0)}
+@functools.cache
+def _first_zero(l: int) -> float:
+    """First positive zero of j_l, bisected once per l on a bracket isolating it."""
+    lo, hi = {0: (2.5, 4.0), 1: (3.5, 6.0)}[l]
+    return bisect_root(lambda x: float(spherical_bessel_j(l, x)), lo, hi)
 
 
 @dataclass(frozen=True)
@@ -250,9 +254,7 @@ def solve_well_mode(l: int, R: float, mass: float) -> RadialMode:
         raise ValueError(f"well radius must be positive, got {R}")
     if mass < 0:
         raise ValueError(f"mass must be nonnegative, got {mass}")
-    lo, hi = _FIRST_ZERO_BRACKET[l]
-    x_zero = bisect_root(lambda x: float(spherical_bessel_j(l, x)), lo, hi)
-    k = x_zero / R
+    k = _first_zero(l) / R
     return RadialMode(l=l, R=R, k=k, omega=math.hypot(k, mass))
 
 

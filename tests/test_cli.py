@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qdensity
+from qdensity import cli, fieldops
 from qdensity.cli import CONFIG_KEYS, load_config, main, parse_args, run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -308,6 +310,47 @@ def test_continuity_passes(capsys):
     assert run_cli(["continuity"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] kg_superposition_order" in out
+
+
+def test_continuity_samples_each_kg_wave_once_on_open_grids(monkeypatch):
+    calls = {"sample": [], "time_derivative": [], "gradient": []}
+
+    def counted(name):
+        original = getattr(fieldops.KGPlaneWave, name)
+
+        def wrapper(self, x, t):
+            calls[name].append((t, *x))
+            return original(self, x, t)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fieldops.KGPlaneWave, name, counted(name))
+    cli.continuity_checks()
+    # one wave on the plane-wave stencil, two on each of the order stencils
+    assert {name: len(grids) for name, grids in calls.items()} == {
+        "sample": 5, "time_derivative": 0, "gradient": 0,
+    }
+    for grid in calls["sample"]:
+        for axis in grid:
+            assert axis.ndim == 4
+            assert sum(n > 1 for n in axis.shape) <= 1
+
+
+def test_kg_stencil_equals_three_samplings_per_wave():
+    waves = [
+        fieldops.KGPlaneWave.free(1.0, (1.2, 0.0, 0.4), 1.0),
+        fieldops.KGPlaneWave.free(0.5 - 0.2j, (-0.3, 0.9, 1.0), 1.0),
+    ]
+    current = cli._kg_current_on_stencil(waves, 11, 0.2, 7, 0.2)
+    tt, xyz = cli._axes(11, 0.2, 7, 0.2)
+    oracle = fieldops.kg_current(
+        sum(w.sample(xyz, tt) for w in waves),
+        sum(w.time_derivative(xyz, tt) for w in waves),
+        grad_phi=sum(w.gradient(xyz, tt) for w in waves),
+    )
+    assert np.array_equal(current.rho, oracle.rho)
+    assert np.array_equal(current.j, oracle.j)
 
 
 def test_dirac_consistency_passes(capsys):

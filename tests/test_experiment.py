@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qdensity import experiment
+from qdensity import experiment, numerics
 from qdensity.experiment import (
     ExperimentConfig,
     ExternalCharge,
@@ -428,6 +428,24 @@ def test_well_modes_are_solved_once_per_experiment(monkeypatch):
         d_values = tuple(1.5 + 0.25 * k for k in range(n))
         run_orthogonality_experiment(replace(SMALL, d_values=d_values))
         assert sorted(calls) == [0, 1]
+
+
+def test_second_experiment_makes_no_bisection(monkeypatch):
+    calls = []
+    original = numerics.bisect_root
+
+    def counted(fn, lo, hi, tol=1e-12):
+        calls.append((lo, hi))
+        return original(fn, lo, hi, tol)
+
+    monkeypatch.setattr(numerics, "bisect_root", counted)
+    numerics._first_zero.cache_clear()
+    first = run_orthogonality_experiment(SMALL)
+    # one bisection per angular momentum l = 0, 1, then none at all
+    assert len(calls) == 2
+    run_orthogonality_experiment(replace(SMALL, R=1.7, d_values=(2.0, 3.0)))
+    assert run_orthogonality_experiment(SMALL) == first
+    assert len(calls) == 2
 
 
 def test_uncoupled_experiment_reports_exact_zeros():

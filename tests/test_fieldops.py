@@ -5,6 +5,7 @@ import pytest
 
 from qdensity.fieldops import (
     ALPHAS,
+    BETA,
     GAMMAS,
     FourCurrent,
     KGPlaneWave,
@@ -36,11 +37,46 @@ def dispersion_residual(wave, mass):
     return abs(wave.omega**2 - (float(wave.k @ wave.k) + mass**2))
 
 
-def four_axes(nt, dt, n, h):
+def four_axes(nt, dt, n, h, sparse=False):
     t = np.arange(nt) * dt
     x = np.arange(n) * h
-    tt, xx, yy, zz = np.meshgrid(t, x, x, x, indexing="ij")
+    tt, xx, yy, zz = np.meshgrid(t, x, x, x, indexing="ij", sparse=sparse)
     return tt, (xx, yy, zz)
+
+
+def summed_phase_sample(wave, x, t):
+    """Oracle: the former sampling, one complex exp of the summed phase
+    k.x - omega t at every point, and the wave's amplitude."""
+    spinor = isinstance(wave, SpinorPlaneWave)
+    omega, k = (wave.energy, wave.p) if spinor else (wave.omega, wave.k)
+    phase = -omega * np.asarray(t)
+    for j in range(3):
+        phase = phase + k[j] * np.asarray(x[j])
+    plane = np.exp(1j * phase)
+    if spinor:
+        return wave.u.reshape((4,) + (1,) * plane.ndim) * plane, np.max(np.abs(wave.u))
+    return wave.N * plane, abs(wave.N)
+
+
+def einsum_current_j(psi):
+    """Oracle: the former spinor current, psi^dag alpha_k psi by einsum."""
+    return np.stack([
+        np.real(np.einsum("a...,ab,b...->...", np.conj(psi), alpha, psi))
+        for alpha in ALPHAS
+    ])
+
+
+def einsum_hamiltonian_apply(psi, spacings, mass, e=0.0, V=None):
+    """Oracle: the former H, each 4x4 matrix applied by einsum."""
+    out = np.zeros_like(psi)
+    for k, alpha in enumerate(ALPHAS):
+        shifted = np.roll(psi, -1, axis=k + 1) - np.roll(psi, 1, axis=k + 1)
+        kinetic = -1j * (shifted / (2.0 * spacings[k]))
+        out += np.einsum("ab,b...->a...", alpha, kinetic)
+    out += np.einsum("ab,b...->a...", mass * BETA, psi)
+    if V is not None:
+        out += e * np.asarray(V) * psi
+    return out
 
 
 # ----- gamma matrices --------------------------------------------------------------
@@ -109,6 +145,54 @@ def test_boosted_current_is_twice_four_momentum():
     assert np.max(np.abs(current.rho - 2.0 * wave.energy)) < 1e-12
     for k in range(3):
         assert np.max(np.abs(current.j[k] - 2.0 * p[k])) < 1e-12
+
+
+SAMPLED_WAVES = {
+    "spinor-s1": SpinorPlaneWave.build((0.7, -0.3, 0.4), MASS),
+    "spinor-s2": SpinorPlaneWave.build((-0.4, 1.1, 0.6), MASS, s=2),
+    "kg-single": KGPlaneWave.free(0.8 + 0.3j, (0.6, 0.2, -0.5), MASS),
+    "kg-pair": KGPlaneWave.free(0.5 - 0.2j, (-0.3, 0.9, 1.0), MASS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_WAVES))
+@pytest.mark.parametrize("nt, dt, n, h", [(6, 0.1, 8, 0.2), (13, 0.1, 21, 0.1)])
+def test_separable_sample_matches_summed_phase(name, nt, dt, n, h):
+    wave = SAMPLED_WAVES[name]
+    tt, xyz = four_axes(nt, dt, n, h, sparse=True)
+    sample = wave.sample(xyz, tt)
+    dense_tt, dense_xyz = four_axes(nt, dt, n, h)
+    assert np.array_equal(sample, wave.sample(dense_xyz, dense_tt))
+    oracle, amplitude = summed_phase_sample(wave, dense_xyz, dense_tt)
+    assert sample.shape == oracle.shape
+    assert np.max(np.abs(sample - oracle)) <= 1e-15 * amplitude
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_WAVES))
+def test_separable_sample_at_one_time(name):
+    wave = SAMPLED_WAVES[name]
+    h = 2.0 * math.pi / 16
+    axes = [np.arange(16) * h] * 3
+    sample = wave.sample(np.meshgrid(*axes, indexing="ij", sparse=True), 0.0)
+    dense = spatial_axes(16, h)
+    assert np.array_equal(sample, wave.sample(dense, 0.0))
+    oracle, amplitude = summed_phase_sample(wave, dense, 0.0)
+    # phases reach ~14 on this box, and the oracle's summed phase rounds
+    # in proportion to its size
+    k = wave.p if isinstance(wave, SpinorPlaneWave) else wave.k
+    max_phase = 2.0 * math.pi * float(np.sum(np.abs(k)))
+    assert np.max(np.abs(sample - oracle)) <= 1e-15 * amplitude * max_phase
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 5), (4, 3, 4, 5, 6)])
+def test_pauli_block_current_matches_einsum(shape):
+    rng = np.random.default_rng(len(shape))
+    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    current = dirac_current(psi)
+    assert current.j.shape == (3,) + shape[1:]
+    assert current.j.dtype == np.float64
+    bound = 1e-15 * np.max(np.abs(psi) ** 2)
+    assert np.max(np.abs(current.j - einsum_current_j(psi))) <= bound
 
 
 def test_dirac_density_nonnegative_on_random_fields():
@@ -189,6 +273,18 @@ def test_rest_spinor_with_constant_potential_is_exact_eigenvector():
     v_field = np.full((4, 4, 4), 0.3)
     h_psi = dirac_hamiltonian_apply(psi, (0.5, 0.5, 0.5), MASS, e=1.0, V=v_field)
     assert np.max(np.abs(h_psi - (MASS + 0.3) * psi)) < 1e-14
+
+
+@pytest.mark.parametrize("with_potential", [False, True])
+def test_tensordot_hamiltonian_equals_einsum(with_potential):
+    rng = np.random.default_rng(7)
+    psi = rng.standard_normal((4, 5, 6, 7)) + 1j * rng.standard_normal((4, 5, 6, 7))
+    spacings = (0.3, 0.25, 0.2)
+    potential = {"e": 1.3, "V": rng.standard_normal((5, 6, 7))} if with_potential else {}
+    assert np.array_equal(
+        dirac_hamiltonian_apply(psi, spacings, 0.8, **potential),
+        einsum_hamiltonian_apply(psi, spacings, 0.8, **potential),
+    )
 
 
 def test_hamiltonian_grid_validation():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qdensity import numerics
 from qdensity.numerics import (
     BallGrid,
     bisect_root,
@@ -252,6 +253,14 @@ def test_p_mode_wavenumber_matches_tangent_oracle():
     mode = solve_well_mode(1, 1.0, mass=1.0)
     assert mode.k == pytest.approx(oracle, abs=1e-10)
     assert mode.k == pytest.approx(4.493409457909064, abs=1e-9)
+
+
+@pytest.mark.parametrize("l, bracket", [(0, (2.5, 4.0)), (1, (3.5, 6.0))])
+def test_first_zero_is_cached_and_equals_a_fresh_bisection(l, bracket):
+    fresh = bisect_root(lambda x: float(spherical_bessel_j(l, x)), *bracket)
+    assert numerics._first_zero(l) == fresh
+    assert numerics._first_zero(l) is numerics._first_zero(l)
+    assert solve_well_mode(l, 2.0, mass=1.0).k == fresh / 2.0
 
 
 def test_dispersion_relation():

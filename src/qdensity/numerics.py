@@ -3,15 +3,14 @@
 Numerical substrate for the ball-integral experiment and the continuity
 checks: composite Gauss-Legendre quadrature over a solid sphere, explicit
 orthonormal spherical harmonics up to l = 2, the lowest nodeless radial
-modes of the infinite spherical well, and a second-order finite-difference
-residual of the continuity equation d0 rho + div j = 0.
+modes of the infinite spherical well from the tabulated zeros of j_0 and
+j_1, and a second-order finite-difference residual of d0 rho + div j = 0.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +20,6 @@ __all__ = [
     "BallGrid",
     "spherical_harmonic",
     "spherical_bessel_j",
-    "bisect_root",
     "RadialMode",
     "solve_well_mode",
     "integrate_ball",
@@ -71,8 +69,6 @@ class BallGrid:
     w_theta: np.ndarray
     phi: np.ndarray
     w_phi: np.ndarray
-    n_panels: int
-    order: int
 
     @classmethod
     def build(
@@ -91,7 +87,7 @@ class BallGrid:
         cos_theta, w_theta = gauss_legendre(n_theta)
         phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
         w_phi = np.full(n_phi, 2.0 * np.pi / n_phi)
-        return cls(R, r, w_r, cos_theta, w_theta, phi, w_phi, n_panels, order)
+        return cls(R, r, w_r, cos_theta, w_theta, phi, w_phi)
 
     @property
     def theta(self) -> np.ndarray:
@@ -197,34 +193,9 @@ def spherical_bessel_j(l: int, x) -> np.ndarray:
     return out
 
 
-def bisect_root(
-    fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
-) -> float:
-    """Bisection to absolute tolerance ``tol`` on a sign-changing bracket."""
-    f_lo, f_hi = fn(lo), fn(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
-        raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = fn(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
-@functools.cache
-def _first_zero(l: int) -> float:
-    """First positive zero of j_l, bisected once per l on a bracket isolating it."""
-    lo, hi = {0: (2.5, 4.0), 1: (3.5, 6.0)}[l]
-    return bisect_root(lambda x: float(spherical_bessel_j(l, x)), lo, hi)
+# First positive zeros of j_0 and j_1: pi, and the first root of tan x = x
+# (Abramowitz & Stegun, Table 10.6; DLMF 10.21), correctly rounded.
+_FIRST_ZERO = {0: math.pi, 1: 4.493409457909064}
 
 
 @dataclass(frozen=True)
@@ -244,8 +215,8 @@ class RadialMode:
 def solve_well_mode(l: int, R: float, mass: float) -> RadialMode:
     """Lowest mode with angular momentum l in an infinite well of radius R.
 
-    The profile is j_l(k r) with k R the first positive zero of j_l, located
-    by bisection to 1e-12; the frequency follows from omega^2 = k^2 + m^2.
+    The profile is j_l(k r) with k R the tabulated first positive zero of
+    j_l; the frequency follows from omega^2 = k^2 + m^2.
     Only s and p modes (l = 0, 1) are provided.
     """
     if l not in (0, 1):
@@ -254,7 +225,7 @@ def solve_well_mode(l: int, R: float, mass: float) -> RadialMode:
         raise ValueError(f"well radius must be positive, got {R}")
     if mass < 0:
         raise ValueError(f"mass must be nonnegative, got {mass}")
-    k = _first_zero(l) / R
+    k = _FIRST_ZERO[l] / R
     return RadialMode(l=l, R=R, k=k, omega=math.hypot(k, mass))
 
 

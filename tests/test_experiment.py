@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qdensity import experiment, numerics
+from qdensity import experiment
 from qdensity.experiment import (
     ExperimentConfig,
     ExternalCharge,
@@ -15,12 +15,7 @@ from qdensity.experiment import (
     run_orthogonality_experiment,
     well_state,
 )
-from qdensity.numerics import (
-    BallGrid,
-    RadialMode,
-    bisect_root,
-    integrate_ball,
-)
+from qdensity.numerics import BallGrid, RadialMode, integrate_ball
 
 # frozen from the independent high-resolution oracle below (d = 2, default
 # parameters R = m = e = q = 1); the oracle recomputes it at test time
@@ -41,12 +36,13 @@ def states(grid):
     return s0, s1
 
 
-def refined(grid, factor=2):
-    """The grid with radial panels and both angular orders scaled by factor."""
+def refined(grid, n_panels, order, factor=2):
+    """The grid built from n_panels radial panels of the given order, with
+    the panels and both angular orders scaled by factor."""
     return BallGrid.build(
         grid.R,
-        n_panels=grid.n_panels * factor,
-        order=grid.order,
+        n_panels=n_panels * factor,
+        order=order,
         n_theta=len(grid.cos_theta) * factor,
         n_phi=len(grid.phi) * factor,
     )
@@ -223,9 +219,10 @@ def test_orthogonality_matrix_over_low_angular_momenta(grid):
     # the l = 2 radial profile is synthetic (scipy's nodeless j_2 up to its
     # first zero), since the well solver intentionally stops at l = 1
     pytest.importorskip("scipy")
+    from scipy.optimize import brentq
     from scipy.special import spherical_jn
 
-    z2 = bisect_root(lambda x: float(spherical_jn(2, x)), 5.0, 6.5)
+    z2 = brentq(lambda x: spherical_jn(2, x), 5.0, 6.5, xtol=1e-12)
 
     class J2Mode(RadialMode):
         def sample(self, r):
@@ -253,7 +250,7 @@ def test_orthogonality_matrix_over_low_angular_momenta(grid):
 
 def test_grid_mismatch_between_profile_and_radial_samples(grid):
     # states resample their profile on whatever grid they are integrated on
-    fine = refined(grid)
+    fine = refined(grid, n_panels=16, order=8)
     state = normalize_kg_state(well_state(0, 0, grid, mass=1.0), grid)
     value = inner_product(state, state, fine)
     assert abs(abs(value) - 1.0) < 1e-9
@@ -367,7 +364,8 @@ def test_one_azimuth_node_matches_full_3d_grids(config):
     report = run_orthogonality_experiment(config)
     coarse = BallGrid.build(config.R, config.n_panels, config.order, config.n_theta, 16)
     (i01_c, u_c), (i01_f, u_f) = (
-        _i01_and_u_by_functions(config, g) for g in (coarse, refined(coarse))
+        _i01_and_u_by_functions(config, g)
+        for g in (coarse, refined(coarse, config.n_panels, config.order))
     )
     assert abs(report.i01 - i01_f) <= 1e-15
     assert abs(report.i01_error - abs(i01_f - i01_c)) <= 1e-15
@@ -428,24 +426,6 @@ def test_well_modes_are_solved_once_per_experiment(monkeypatch):
         d_values = tuple(1.5 + 0.25 * k for k in range(n))
         run_orthogonality_experiment(replace(SMALL, d_values=d_values))
         assert sorted(calls) == [0, 1]
-
-
-def test_second_experiment_makes_no_bisection(monkeypatch):
-    calls = []
-    original = numerics.bisect_root
-
-    def counted(fn, lo, hi, tol=1e-12):
-        calls.append((lo, hi))
-        return original(fn, lo, hi, tol)
-
-    monkeypatch.setattr(numerics, "bisect_root", counted)
-    numerics._first_zero.cache_clear()
-    first = run_orthogonality_experiment(SMALL)
-    # one bisection per angular momentum l = 0, 1, then none at all
-    assert len(calls) == 2
-    run_orthogonality_experiment(replace(SMALL, R=1.7, d_values=(2.0, 3.0)))
-    assert run_orthogonality_experiment(SMALL) == first
-    assert len(calls) == 2
 
 
 def test_uncoupled_experiment_reports_exact_zeros():

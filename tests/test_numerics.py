@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from qdensity import numerics
 from qdensity.numerics import (
     BallGrid,
-    bisect_root,
     composite_gauss_legendre,
     divergence_residual,
     gauss_legendre,
@@ -225,19 +225,29 @@ def test_bessel_closed_forms():
     )
 
 
+def _exact_bessel_j(l, x, terms=8):
+    """j_l(x) = x^l sum_n (-x^2/2)^n / (n! (2n+2l+1)!!) in exact rationals,
+    rounded once to a double; for x <= 1e-3 the terms left out lie far
+    below 1 ulp."""
+    x = Fraction(x)
+    total, term = Fraction(0), x**l / math.prod(range(1, 2 * l + 2, 2))
+    for n in range(terms):
+        total += term
+        term *= -(x**2) / (2 * (n + 1) * (2 * n + 2 * l + 3))
+    return float(total)
+
+
 def test_bessel_small_argument_stability():
     # leading series behaviour below the branch switchover
     x1 = np.array([1e-6, 1e-5, 1e-4])
     assert spherical_bessel_j(1, x1) == pytest.approx(x1 / 3.0, rel=1e-9)
+    # just below each switch the series must be correct to the last ulp:
+    # a wrong x^2 coefficient in j_0 or a dropped x^5 term in j_1 shows here
+    for l, x in [(0, 9.99e-7), (0, 5e-7), (1, 9.99e-4), (1, 5e-4)]:
+        exact = _exact_bessel_j(l, x)
+        assert abs(float(spherical_bessel_j(l, x)) - exact) <= math.ulp(exact)
     with pytest.raises(ValueError):
         spherical_bessel_j(2, 1.0)
-
-
-def test_bisection_finds_cosine_root():
-    root = bisect_root(math.cos, 1.0, 2.0)
-    assert root == pytest.approx(math.pi / 2.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        bisect_root(math.cos, 0.2, 1.0)
 
 
 def test_s_mode_wavenumber_is_pi_over_R():
@@ -249,18 +259,30 @@ def test_s_mode_wavenumber_is_pi_over_R():
 def test_p_mode_wavenumber_matches_tangent_oracle():
     # the first zero of j1 solves tan x = x; bracket it away from the
     # tangent pole and bisect the reformulation x*cos(x) - sin(x)
-    oracle = bisect_root(lambda x: x * math.cos(x) - math.sin(x), 4.0, 5.5)
+    lo, hi = 4.0, 5.5
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        below = mid * math.cos(mid) - math.sin(mid) < 0
+        lo, hi = (mid, hi) if below else (lo, mid)
     mode = solve_well_mode(1, 1.0, mass=1.0)
-    assert mode.k == pytest.approx(oracle, abs=1e-10)
+    assert mode.k == pytest.approx(0.5 * (lo + hi), abs=1e-12)
     assert mode.k == pytest.approx(4.493409457909064, abs=1e-9)
 
 
-@pytest.mark.parametrize("l, bracket", [(0, (2.5, 4.0)), (1, (3.5, 6.0))])
-def test_first_zero_is_cached_and_equals_a_fresh_bisection(l, bracket):
-    fresh = bisect_root(lambda x: float(spherical_bessel_j(l, x)), *bracket)
-    assert numerics._first_zero(l) == fresh
-    assert numerics._first_zero(l) is numerics._first_zero(l)
-    assert solve_well_mode(l, 2.0, mass=1.0).k == fresh / 2.0
+def test_tabulated_zeros_are_the_correctly_rounded_roots():
+    assert numerics._FIRST_ZERO[0] == math.pi
+    scipy_special = pytest.importorskip("scipy.special")
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    root = scipy_optimize.brentq(
+        lambda x: scipy_special.spherical_jn(1, x), 3.5, 6.0, xtol=1e-15
+    )
+    assert numerics._FIRST_ZERO[1] == root
+
+
+@pytest.mark.parametrize("R", [1.0, 0.37, 2.0, 2.9, 1e-20, 1e20])
+@pytest.mark.parametrize("l", [0, 1])
+def test_well_wavenumber_is_the_tabulated_zero_over_R(l, R):
+    assert solve_well_mode(l, R, mass=1.0).k == numerics._FIRST_ZERO[l] / R
 
 
 def test_dispersion_relation():

@@ -5,7 +5,9 @@ fields: the spinor current psibar gamma^mu psi (positive definite density,
 blind to external potentials), the spinor Hamiltonian alpha.(-i grad)
 + eV + beta m, and the scalar current/energy density of the minimally
 coupled complex scalar field.  Dirac representation, metric (+,-,-,-),
-natural units, spinor normalization ubar u = 2m.
+natural units, spinor normalization ubar u = 2m.  The spinor current and
+Hamiltonian act on the upper and lower 2-spinor blocks with the Pauli
+matrices; no 4x4 Dirac matrix is formed.
 """
 from __future__ import annotations
 
@@ -18,9 +20,6 @@ import numpy as np
 from . import numerics
 
 __all__ = [
-    "GAMMAS",
-    "BETA",
-    "ALPHAS",
     "SpinorPlaneWave",
     "KGPlaneWave",
     "FourCurrent",
@@ -35,18 +34,6 @@ _PAULI = (
     np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     np.array([[1, 0], [0, -1]], dtype=np.complex128),
 )
-_EYE2 = np.eye(2, dtype=np.complex128)
-_ZERO2 = np.zeros((2, 2), dtype=np.complex128)
-
-#: gamma^0..gamma^3 in the Dirac representation
-GAMMAS = (
-    np.block([[_EYE2, _ZERO2], [_ZERO2, -_EYE2]]),
-    *(np.block([[_ZERO2, sigma], [-sigma, _ZERO2]]) for sigma in _PAULI),
-)
-BETA = GAMMAS[0]
-#: alpha_k = gamma^0 gamma^k for k = 1, 2, 3, the velocity matrices, written
-#: out block by block: a matrix product here would start BLAS at import
-ALPHAS = tuple(np.block([[_ZERO2, sigma], [sigma, _ZERO2]]) for sigma in _PAULI)
 
 
 def _plane_wave(omega: float, k: np.ndarray, x: Sequence[np.ndarray], t) -> np.ndarray:
@@ -171,7 +158,10 @@ def dirac_current(
 
 def _roll_derivative(f: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Second-order central difference on a periodic axis."""
-    return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2.0 * h)
+    d = np.roll(f, -1, axis=axis)
+    d -= np.roll(f, 1, axis=axis)
+    d /= 2.0 * h
+    return d
 
 
 def dirac_hamiltonian_apply(
@@ -196,10 +186,17 @@ def dirac_hamiltonian_apply(
     if any(n < 3 for n in psi.shape[1:]):
         raise ValueError(f"grid {psi.shape[1:]} too coarse for the stencil")
     out = np.zeros_like(psi)
-    for k, alpha in enumerate(ALPHAS):
-        kinetic = -1j * _roll_derivative(psi, axis=k + 1, h=spacings[k])
-        out += np.tensordot(alpha, kinetic, axes=1)
-    out += np.tensordot(mass * BETA, psi, axes=1)
+    for k, sigma in enumerate(_PAULI):
+        kinetic = _roll_derivative(psi, axis=k + 1, h=spacings[k])
+        kinetic *= -1j
+        # alpha_k maps each block to sigma_k times the other block; each row
+        # of sigma_k has one nonzero entry: 1, -1 or +-i
+        for row, col in np.argwhere(sigma):
+            out[row] += sigma[row, col] * kinetic[2 + col]
+            out[2 + row] += sigma[row, col] * kinetic[col]
+    # beta is +1 on the upper block and -1 on the lower one
+    out[:2] += mass * psi[:2]
+    out[2:] -= mass * psi[2:]
     if V is not None:
         out += e * np.asarray(V) * psi
     return out

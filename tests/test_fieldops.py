@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from qdensity.fieldops import (
-    ALPHAS,
-    BETA,
-    GAMMAS,
     FourCurrent,
     KGPlaneWave,
     SpinorPlaneWave,
@@ -18,6 +15,25 @@ from qdensity.fieldops import (
 
 MASS = 1.0
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+
+# Oracle: the 4x4 Dirac matrices, Dirac representation, written out here
+# from Pauli matrices of their own so that they share nothing with the
+# 2-spinor block kernels under test.
+PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    np.array([[1, 0], [0, -1]], dtype=np.complex128),
+)
+EYE2 = np.eye(2, dtype=np.complex128)
+ZERO2 = np.zeros((2, 2), dtype=np.complex128)
+#: gamma^0..gamma^3
+GAMMAS = (
+    np.block([[EYE2, ZERO2], [ZERO2, -EYE2]]),
+    *(np.block([[ZERO2, sigma], [-sigma, ZERO2]]) for sigma in PAULI),
+)
+BETA = GAMMAS[0]
+#: alpha_k = gamma^0 gamma^k for k = 1, 2, 3
+ALPHAS = tuple(np.block([[ZERO2, sigma], [sigma, ZERO2]]) for sigma in PAULI)
 
 
 def spatial_axes(n, h):
@@ -67,7 +83,8 @@ def einsum_current_j(psi):
 
 
 def einsum_hamiltonian_apply(psi, spacings, mass, e=0.0, V=None):
-    """Oracle: the former H, each 4x4 matrix applied by einsum."""
+    """Oracle: H with each 4x4 matrix applied by einsum, in the kernel's
+    order of summation (x, y, z, mass, then eV)."""
     out = np.zeros_like(psi)
     for k, alpha in enumerate(ALPHAS):
         shifted = np.roll(psi, -1, axis=k + 1) - np.roll(psi, 1, axis=k + 1)
@@ -275,15 +292,27 @@ def test_rest_spinor_with_constant_potential_is_exact_eigenvector():
     assert np.max(np.abs(h_psi - (MASS + 0.3) * psi)) < 1e-14
 
 
-@pytest.mark.parametrize("with_potential", [False, True])
-def test_tensordot_hamiltonian_equals_einsum(with_potential):
+HAMILTONIAN_CASES = {
+    "free": ((5, 6, 7), (0.3, 0.25, 0.2), 0.8, False),
+    "potential": ((5, 6, 7), (0.3, 0.25, 0.2), 0.8, True),
+    "massless": ((5, 6, 7), (0.3, 0.25, 0.2), 0.0, True),
+    # on an axis of 3 points both neighbours of every point wrap
+    "three-point-axis": ((3, 6, 5), (0.7, 0.25, 0.2), 1.1, True),
+    # the dirac-consistency suite's grid
+    "cli-grid": ((16, 16, 16), (2.0 * math.pi / 16,) * 3, 1.0, False),
+    "cli-grid-potential": ((16, 16, 16), (2.0 * math.pi / 16,) * 3, 1.0, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAMILTONIAN_CASES))
+def test_pauli_block_hamiltonian_equals_einsum(case):
+    shape, spacings, mass, with_potential = HAMILTONIAN_CASES[case]
     rng = np.random.default_rng(7)
-    psi = rng.standard_normal((4, 5, 6, 7)) + 1j * rng.standard_normal((4, 5, 6, 7))
-    spacings = (0.3, 0.25, 0.2)
-    potential = {"e": 1.3, "V": rng.standard_normal((5, 6, 7))} if with_potential else {}
+    psi = rng.standard_normal((4,) + shape) + 1j * rng.standard_normal((4,) + shape)
+    potential = {"e": 1.3, "V": rng.standard_normal(shape)} if with_potential else {}
     assert np.array_equal(
-        dirac_hamiltonian_apply(psi, spacings, 0.8, **potential),
-        einsum_hamiltonian_apply(psi, spacings, 0.8, **potential),
+        dirac_hamiltonian_apply(psi, spacings, mass, **potential),
+        einsum_hamiltonian_apply(psi, spacings, mass, **potential),
     )
 
 

@@ -5,9 +5,8 @@ fields: the spinor current psibar gamma^mu psi (positive definite density,
 blind to external potentials), the spinor Hamiltonian alpha.(-i grad)
 + eV + beta m, and the scalar current/energy density of the minimally
 coupled complex scalar field.  Dirac representation, metric (+,-,-,-),
-natural units, spinor normalization ubar u = 2m.  The spinor current and
-Hamiltonian act on the upper and lower 2-spinor blocks with the Pauli
-matrices; no 4x4 Dirac matrix is formed.
+natural units, spinor normalization ubar u = 2m.  The Dirac matrices act
+as Pauli matrices on the upper and lower 2-spinor blocks, never as 4x4s.
 """
 from __future__ import annotations
 
@@ -156,14 +155,6 @@ def dirac_current(
     return FourCurrent(rho=rho, j=j, provenance="dirac", spacings=spacings)
 
 
-def _roll_derivative(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Second-order central difference on a periodic axis."""
-    d = np.roll(f, -1, axis=axis)
-    d -= np.roll(f, 1, axis=axis)
-    d /= 2.0 * h
-    return d
-
-
 def dirac_hamiltonian_apply(
     psi: np.ndarray,
     spacings: Sequence[float],
@@ -187,10 +178,12 @@ def dirac_hamiltonian_apply(
         raise ValueError(f"grid {psi.shape[1:]} too coarse for the stencil")
     out = np.zeros_like(psi)
     for k, sigma in enumerate(_PAULI):
-        kinetic = _roll_derivative(psi, axis=k + 1, h=spacings[k])
+        # -i d_k psi by the second-order central difference, periodic
+        kinetic = np.roll(psi, -1, axis=k + 1)
+        kinetic -= np.roll(psi, 1, axis=k + 1)
+        kinetic /= 2.0 * spacings[k]
         kinetic *= -1j
-        # alpha_k maps each block to sigma_k times the other block; each row
-        # of sigma_k has one nonzero entry: 1, -1 or +-i
+        # alpha_k: each block gets sigma_k (1, -1 or +-i per row) times the other
         for row, col in np.argwhere(sigma):
             out[row] += sigma[row, col] * kinetic[2 + col]
             out[2 + row] += sigma[row, col] * kinetic[col]

@@ -172,22 +172,31 @@ def spherical_harmonic(l: int, m: int, theta, phi) -> np.ndarray:
 # ----- spherical Bessel functions and well modes --------------------------------
 
 
+# j_1(x) / x = sum_n c_n x^(2n), c_n = (-1/2)^n / (n! (2n+3)!!) correctly
+# rounded; through x^21 the series is within 2 ulp of j_1 on |x| < 1, where
+# the closed form cancels (235 ulp off at x = 0.1)
+_J1_SERIES = tuple(
+    (-1) ** n / (2**n * math.factorial(n) * math.prod(range(3, 2 * n + 4, 2)))
+    for n in range(11)
+)
+
+
 def spherical_bessel_j(l: int, x) -> np.ndarray:
     """j_0 or j_1, switching to small-argument series where the closed
-    forms lose digits to cancellation (thresholds grow with l)."""
+    forms lose digits to cancellation: below 1e-6 for j_0, below 1 for j_1."""
     x = np.asarray(x, dtype=float)
     if l == 0:
         small = np.abs(x) < 1e-6
         safe = np.where(small, 1.0, x)
         out = np.where(small, 1.0 - x**2 / 6.0, np.sin(safe) / safe)
     elif l == 1:
-        small = np.abs(x) < 1e-3
+        small = np.abs(x) < 1.0
         safe = np.where(small, 1.0, x)
-        out = np.where(
-            small,
-            x / 3.0 - x**3 / 30.0 + x**5 / 840.0,
-            np.sin(safe) / safe**2 - np.cos(safe) / safe,
-        )
+        x2 = np.where(small, x, 0.0) ** 2  # 0 where unused, so it cannot overflow
+        series = 0.0
+        for c in reversed(_J1_SERIES):
+            series = series * x2 + c
+        out = np.where(small, x * series, np.sin(safe) / safe**2 - np.cos(safe) / safe)
     else:
         raise ValueError(f"only l in {{0, 1}} is supported, got l={l}")
     return out

@@ -228,7 +228,7 @@ def test_bessel_closed_forms():
 def _exact_bessel_j(l, x, terms=8):
     """j_l(x) = x^l sum_n (-x^2/2)^n / (n! (2n+2l+1)!!) in exact rationals,
     rounded once to a double; for x <= 1e-3 the terms left out lie far
-    below 1 ulp."""
+    below 1 ulp, and with 30 terms they do for x <= 3."""
     x = Fraction(x)
     total, term = Fraction(0), x**l / math.prod(range(1, 2 * l + 2, 2))
     for n in range(terms):
@@ -246,6 +246,13 @@ def test_bessel_small_argument_stability():
     for l, x in [(0, 9.99e-7), (0, 5e-7), (1, 9.99e-4), (1, 5e-4)]:
         exact = _exact_bessel_j(l, x)
         assert abs(float(spherical_bessel_j(l, x)) - exact) <= math.ulp(exact)
+    # j_1's closed form sin/x^2 - cos/x cancels: 1.4e6 ulp off at 1.001e-3,
+    # 2.5e4 ulp at 2.79e-3 (the fine grid's smallest kr at the defaults)
+    # and 235 ulp at 0.1; within 4 ulp on both sides of the switch at 1
+    below_one = math.nextafter(1.0, 0.0)
+    for x in [1.001e-3, 2.79e-3, 0.1, 0.55, 0.75, below_one, 1.0, 2.0, 3.0]:
+        exact = _exact_bessel_j(1, x, terms=30)
+        assert abs(float(spherical_bessel_j(1, x)) - exact) <= 4 * math.ulp(exact)
     with pytest.raises(ValueError):
         spherical_bessel_j(2, 1.0)
 

@@ -243,17 +243,29 @@ def _axes(n: int, h: float, nt: int, dt: float):
 
 def _dirac_current_on_stencil(waves, n, h, nt, dt):
     tt, xyz = _axes(n, h, nt, dt)
-    psi = sum(w.sample(xyz, tt) for w in waves)
+    psi = waves[0].sample(xyz, tt)
+    for w in waves[1:]:
+        psi += w.sample(xyz, tt)
     return fieldops.dirac_current(psi, spacings=(dt, h, h, h))
 
 
 def _kg_current_on_stencil(waves, n, h, nt, dt):
     tt, xyz = _axes(n, h, nt, dt)
-    # one sample per wave: d/dt and grad of e^{i(k.x - omega t)} are factors
-    bases = [w.sample(xyz, tt) for w in waves]
-    phi = sum(bases)
-    phi_t = sum(-1j * w.omega * b for w, b in zip(waves, bases))
-    grad = sum(np.stack([1j * kj * b for kj in w.k]) for w, b in zip(waves, bases))
+    # one sample per wave: d/dt and grad of e^{i(k.x - omega t)} are factors;
+    # each sum starts from the first wave's term and adds the others in place
+    first, *rest = waves
+    phi = first.sample(xyz, tt)
+    phi_t = -1j * first.omega * phi
+    grad = np.empty((3,) + phi.shape, dtype=phi.dtype)
+    for k in range(3):
+        np.multiply(1j * first.k[k], phi, out=grad[k])
+    for wave in rest:
+        base = wave.sample(xyz, tt)
+        phi_t += -1j * wave.omega * base
+        for k in range(3):
+            grad[k] += 1j * wave.k[k] * base
+        phi += base
+        del base  # before kg_current's temporaries
     return fieldops.kg_current(phi, phi_t, grad_phi=grad, spacings=(dt, h, h, h))
 
 
@@ -313,7 +325,9 @@ def dirac_consistency_checks() -> List[Check]:
         axes = [np.arange(n) * h] * 3
         psi = wave.sample(np.meshgrid(*axes, indexing="ij", sparse=True), 0.0)
         h_psi = fieldops.dirac_hamiltonian_apply(psi, (h, h, h), mass)
-        return float(np.max(np.abs(h_psi - wave.energy * psi))), h, psi, h_psi
+        deviation = wave.energy * psi
+        np.subtract(h_psi, deviation, out=deviation)
+        return float(np.max(np.abs(deviation))), h, psi, h_psi
 
     coarse, h_c, psi_c, h_free = residual(16)
     fine = residual(32)[0]
@@ -324,7 +338,9 @@ def dirac_consistency_checks() -> List[Check]:
     h_pot = fieldops.dirac_hamiltonian_apply(
         psi_c, (h_c, h_c, h_c), mass, e=e, V=v_field
     )
-    shift_err = float(np.max(np.abs(h_pot - h_free - e * v0 * psi_c)))
+    h_pot -= h_free
+    h_pot -= e * v0 * psi_c
+    shift_err = float(np.max(np.abs(h_pot)))
     return [
         Check(
             "schrodinger_form_order",

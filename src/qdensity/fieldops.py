@@ -147,11 +147,26 @@ def dirac_current(
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.ndim < 1 or psi.shape[0] != 4:
         raise ValueError("spinor samples must have 4 components on axis 0")
-    rho = np.sum(np.abs(psi) ** 2, axis=0)
-    # psi^dag alpha_k psi = 2 Re(up^dag sigma_k lo) on the 2-spinor blocks
-    up, lo = np.conj(psi[:2]), psi[2:]
-    a, b, c = up[0] * lo[1], up[1] * lo[0], up[0] * lo[0] - up[1] * lo[1]
-    j = 2.0 * np.stack([(a + b).real, (a - b).imag, c.real])
+    rho = np.abs(psi)
+    rho = np.sum(np.square(rho, out=rho), axis=0)
+    # psi^dag alpha_k psi = 2 Re(up^dag sigma_k lo) on the 2-spinor blocks,
+    # one product at a time: Re and Im of a sum are the sums of the parts.
+    # The products stay `*`, so a single spinor's 0-d components keep
+    # numpy's scalar arithmetic, which rounds differently from array loops.
+    lo = psi[2:]
+    j = np.empty((3,) + psi.shape[1:])
+    up = np.conj(psi[0])
+    term = up * lo[1]
+    j[0], j[1] = term.real, term.imag
+    term = up * lo[0]
+    j[2] = term.real
+    up = np.conj(psi[1])
+    term = up * lo[0]
+    j[0] += term.real
+    j[1] -= term.imag
+    term = up * lo[1]
+    j[2] -= term.real
+    j *= 2.0
     return FourCurrent(rho=rho, j=j, provenance="dirac", spacings=spacings)
 
 
@@ -177,22 +192,35 @@ def dirac_hamiltonian_apply(
     if any(n < 3 for n in psi.shape[1:]):
         raise ValueError(f"grid {psi.shape[1:]} too coarse for the stencil")
     out = np.zeros_like(psi)
+    kinetic, term = np.empty_like(psi), np.empty_like(psi[0])
     for k, sigma in enumerate(_PAULI):
-        # -i d_k psi by the second-order central difference, periodic
-        kinetic = np.roll(psi, -1, axis=k + 1)
-        kinetic -= np.roll(psi, 1, axis=k + 1)
+        # -i d_k psi by the second-order central difference, periodic: the
+        # interior from shifted slices, the wrap from the two edge layers
+        field, diff = np.moveaxis(psi, k + 1, 0), np.moveaxis(kinetic, k + 1, 0)
+        np.subtract(field[2:], field[:-2], out=diff[1:-1])
+        np.subtract(field[1], field[-1], out=diff[0])
+        np.subtract(field[0], field[-2], out=diff[-1])
         kinetic /= 2.0 * spacings[k]
         kinetic *= -1j
         # alpha_k: each block gets sigma_k (1, -1 or +-i per row) times the other
         for row, col in np.argwhere(sigma):
-            out[row] += sigma[row, col] * kinetic[2 + col]
-            out[2 + row] += sigma[row, col] * kinetic[col]
+            out[row] += np.multiply(sigma[row, col], kinetic[2 + col], out=term)
+            out[2 + row] += np.multiply(sigma[row, col], kinetic[col], out=term)
     # beta is +1 on the upper block and -1 on the lower one
-    out[:2] += mass * psi[:2]
-    out[2:] -= mass * psi[2:]
+    np.multiply(mass, psi, out=kinetic)
+    out[:2] += kinetic[:2]
+    out[2:] -= kinetic[2:]
     if V is not None:
-        out += e * np.asarray(V) * psi
+        out += np.multiply(e * np.asarray(V), psi, out=kinetic)
     return out
+
+
+def _real_of_i_times_difference(left, right):
+    """Re(i (left - right)), formed in place in ``left``; a scalar ``left``,
+    from 0-d samples, is rebound instead."""
+    left -= right
+    left *= 1j
+    return left.real
 
 
 def kg_current(
@@ -216,14 +244,21 @@ def kg_current(
     if phi_t.shape != phi.shape:
         raise ValueError("phi and its time derivative must share a shape")
     grad_phi = np.asarray(grad_phi)
-    rho = np.real(1j * (np.conj(phi) * phi_t - np.conj(phi_t) * phi))
-    if V is not None:
-        rho = rho - 2.0 * e * np.asarray(V) * np.abs(phi) ** 2
+    phi_star = np.conj(phi)
+    # j before rho, whose complex buffer then need not outlive the flux loop
     j = np.empty((3,) + phi.shape, dtype=float)
     for k in range(3):
-        j[k] = np.real(
-            1j * (np.conj(grad_phi[k]) * phi - np.conj(phi) * grad_phi[k])
+        j[k] = _real_of_i_times_difference(
+            np.conj(grad_phi[k]) * phi, phi_star * grad_phi[k]
         )
+    cross = np.conj(phi_t)
+    cross *= phi
+    rho = _real_of_i_times_difference(phi_star * phi_t, cross)
+    if V is not None:
+        modulus = np.abs(phi)
+        modulus **= 2
+        modulus *= 2.0 * e * np.asarray(V)
+        rho -= modulus
     return FourCurrent(rho=rho, j=j, provenance="kg", spacings=spacings)
 
 

@@ -246,9 +246,11 @@ def divergence_residual(
 ) -> float:
     """Max-norm of d0 rho + div j over interior points of a (t,x,y,z) stencil.
 
-    Second-order central differences in all four directions (the interior
-    of ``np.gradient``); the residual decays as O(h^2) on smooth exactly
-    conserved currents.
+    Second-order central differences in all four directions, formed on the
+    interior only; the residual decays as O(h^2) on smooth exactly
+    conserved currents.  Each difference is the interior of ``np.gradient``
+    bit for bit: integer samples are differenced as float64, and each term
+    keeps its own dtype until the sum promotes it.
     """
     rho = np.asarray(rho)
     j = np.asarray(j)
@@ -260,7 +262,19 @@ def divergence_residual(
         raise ValueError("spacings must give (dt, dx, dy, dz)")
     if any(n < 3 for n in rho.shape):
         raise ValueError(f"stencil {rho.shape} too small for central differences")
-    total = np.gradient(rho, spacings[0], axis=0)
-    for axis in (1, 2, 3):
-        total = total + np.gradient(j[axis - 1], spacings[axis], axis=axis)
-    return float(np.max(np.abs(total[1:-1, 1:-1, 1:-1, 1:-1])))
+    inner = (slice(1, -1),) * 4
+    total = None
+    for axis, f in enumerate((rho, *j)):
+        if not np.issubdtype(f.dtype, np.inexact):
+            f = f.astype(np.float64)
+        upper = inner[:axis] + (slice(2, None),) + inner[axis + 1 :]
+        lower = inner[:axis] + (slice(None, -2),) + inner[axis + 1 :]
+        diff = f[upper] - f[lower]
+        diff /= 2.0 * spacings[axis]
+        if total is None:
+            total = diff
+        elif total.dtype == np.result_type(total, diff):
+            total += diff
+        else:
+            total = total + diff
+    return float(np.max(np.abs(total)))

@@ -337,18 +337,39 @@ def test_continuity_samples_each_kg_wave_once_on_open_grids(monkeypatch):
             assert sum(n > 1 for n in axis.shape) <= 1
 
 
-def test_kg_stencil_equals_three_samplings_per_wave():
+#: the continuity suite's order stencils, (n, h, nt, dt)
+ORDER_STENCILS = [
+    pytest.param((11, 0.2, 7, 0.2), id="coarse"),
+    pytest.param((21, 0.1, 13, 0.1), id="fine"),
+]
+
+
+@pytest.mark.parametrize("stencil", ORDER_STENCILS)
+def test_kg_stencil_equals_three_samplings_per_wave(stencil):
     waves = [
         fieldops.KGPlaneWave.free(1.0, (1.2, 0.0, 0.4), 1.0),
         fieldops.KGPlaneWave.free(0.5 - 0.2j, (-0.3, 0.9, 1.0), 1.0),
     ]
-    current = cli._kg_current_on_stencil(waves, 11, 0.2, 7, 0.2)
-    tt, xyz = cli._axes(11, 0.2, 7, 0.2)
+    current = cli._kg_current_on_stencil(waves, *stencil)
+    tt, xyz = cli._axes(*stencil)
     oracle = fieldops.kg_current(
         sum(w.sample(xyz, tt) for w in waves),
         sum(w.time_derivative(xyz, tt) for w in waves),
         grad_phi=sum(w.gradient(xyz, tt) for w in waves),
     )
+    assert np.array_equal(current.rho, oracle.rho)
+    assert np.array_equal(current.j, oracle.j)
+
+
+@pytest.mark.parametrize("stencil", ORDER_STENCILS)
+def test_dirac_stencil_equals_the_current_of_summed_samples(stencil):
+    waves = [
+        fieldops.SpinorPlaneWave.build((0.9, 0.0, 0.2), 1.0, s=1),
+        fieldops.SpinorPlaneWave.build((-0.4, 1.1, 0.6), 1.0, s=2),
+    ]
+    current = cli._dirac_current_on_stencil(waves, *stencil)
+    tt, xyz = cli._axes(*stencil)
+    oracle = fieldops.dirac_current(sum(w.sample(xyz, tt) for w in waves))
     assert np.array_equal(current.rho, oracle.rho)
     assert np.array_equal(current.j, oracle.j)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qdensity import numerics
 from qdensity.fieldops import (
     FourCurrent,
     KGPlaneWave,
@@ -72,6 +73,42 @@ def summed_phase_sample(wave, x, t):
     if spinor:
         return wave.u.reshape((4,) + (1,) * plane.ndim) * plane, np.max(np.abs(wave.u))
     return wave.N * plane, abs(wave.N)
+
+
+def stacked_dirac_current(psi):
+    """Oracle: the former spinor current, rho from np.sum and j stacked from
+    the complex block products, each with its own conj."""
+    psi = np.asarray(psi, dtype=np.complex128)
+    rho = np.sum(np.abs(psi) ** 2, axis=0)
+    up, lo = np.conj(psi[:2]), psi[2:]
+    a, b, c = up[0] * lo[1], up[1] * lo[0], up[0] * lo[0] - up[1] * lo[1]
+    return rho, 2.0 * np.stack([(a + b).real, (a - b).imag, c.real])
+
+
+def out_of_place_kg_current(phi, phi_t, grad_phi, V=None, e=0.0):
+    """Oracle: the former scalar current, every bracket a fresh array."""
+    phi = np.asarray(phi, dtype=np.complex128)
+    phi_t = np.asarray(phi_t, dtype=np.complex128)
+    grad_phi = np.asarray(grad_phi)
+    rho = np.real(1j * (np.conj(phi) * phi_t - np.conj(phi_t) * phi))
+    if V is not None:
+        rho = rho - 2.0 * e * np.asarray(V) * np.abs(phi) ** 2
+    j = np.empty((3,) + phi.shape, dtype=float)
+    for k in range(3):
+        j[k] = np.real(
+            1j * (np.conj(grad_phi[k]) * phi - np.conj(phi) * grad_phi[k])
+        )
+    return rho, j
+
+
+def same_bits(actual, expected):
+    """Equal shape, dtype and bytes: stricter than ==, it sees signed zeros."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    return (
+        actual.shape == expected.shape
+        and actual.dtype == expected.dtype
+        and actual.tobytes() == expected.tobytes()
+    )
 
 
 def einsum_current_j(psi):
@@ -210,6 +247,62 @@ def test_pauli_block_current_matches_einsum(shape):
     assert current.j.dtype == np.float64
     bound = 1e-15 * np.max(np.abs(psi) ** 2)
     assert np.max(np.abs(current.j - einsum_current_j(psi))) <= bound
+
+
+CURRENT_SHAPES = [(), (5,), (3, 4, 5, 6)]
+MAGNITUDES = [1e-20, 1e-7, 1.0, 1e7, 1e20]
+
+
+def random_complex(rng, shape, scale):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("shape", CURRENT_SHAPES)
+@pytest.mark.parametrize("scale", MAGNITUDES)
+def test_dirac_current_is_the_stacked_form_bit_for_bit(shape, scale):
+    rng = np.random.default_rng(len(shape))
+    psi = random_complex(rng, (4,) + shape, scale)
+    for spinor in (psi, psi[..., ::-1]):
+        current = dirac_current(spinor)
+        rho, j = stacked_dirac_current(spinor)
+        assert np.array_equal(current.rho, rho) and same_bits(current.rho, rho)
+        assert np.array_equal(current.j, j) and same_bits(current.j, j)
+
+
+@pytest.mark.parametrize("shape", CURRENT_SHAPES)
+@pytest.mark.parametrize("scale", MAGNITUDES)
+@pytest.mark.parametrize("with_potential", [False, True])
+def test_kg_current_is_the_out_of_place_form_bit_for_bit(shape, scale, with_potential):
+    rng = np.random.default_rng(len(shape))
+    phi, phi_t = random_complex(rng, shape, scale), random_complex(rng, shape, scale)
+    grad = random_complex(rng, (3,) + shape, scale)
+    potential = {"V": rng.standard_normal(shape), "e": 0.7} if with_potential else {}
+    # real samples too: conj(grad) * phi must promote to complex
+    for samples in ((phi, phi_t, grad), (phi.real, phi_t.real, grad.real)):
+        current = kg_current(*samples, **potential)
+        rho, j = out_of_place_kg_current(*samples, **potential)
+        assert np.array_equal(current.rho, rho) and same_bits(current.rho, rho)
+        assert np.array_equal(current.j, j) and same_bits(current.j, j)
+
+
+def test_kernels_leave_their_inputs_unchanged():
+    # complex128 and float64 arrays pass through np.asarray without a copy,
+    # so an in-place step on an input would reach the caller's array
+    rng = np.random.default_rng(9)
+    shape = (5, 6, 7)
+    psi = random_complex(rng, (4,) + shape, 1.0)
+    phi, phi_t = random_complex(rng, shape, 1.0), random_complex(rng, shape, 1.0)
+    grad = random_complex(rng, (3,) + shape, 1.0)
+    v_field = rng.standard_normal(shape)
+    rho, j = rng.standard_normal((4,) + shape), rng.standard_normal((3, 4) + shape)
+    inputs = (psi, phi, phi_t, grad, v_field, rho, j)
+    before = [x.copy() for x in inputs]
+    dirac_current(psi)
+    kg_current(phi, phi_t, grad_phi=grad, V=v_field, e=0.7)
+    dirac_hamiltonian_apply(psi, (0.3, 0.25, 0.2), MASS, e=1.3, V=v_field)
+    numerics.divergence_residual(rho, j, (0.1, 0.2, 0.3, 0.4))
+    for array, copy in zip(inputs, before):
+        assert same_bits(array, copy)
 
 
 def test_dirac_density_nonnegative_on_random_fields():

@@ -397,6 +397,46 @@ def test_divergence_residual_equals_hand_stencil_bit_for_bit():
         assert divergence_residual(rho, j, spacings) == expected
 
 
+def gradient_residual(rho, j, spacings):
+    """Oracle: the former residual, np.gradient over the whole stencil and
+    then the interior."""
+    total = np.gradient(np.asarray(rho), spacings[0], axis=0)
+    for axis in (1, 2, 3):
+        total = total + np.gradient(np.asarray(j)[axis - 1], spacings[axis], axis=axis)
+    return float(np.max(np.abs(total[1:-1, 1:-1, 1:-1, 1:-1])))
+
+
+def _stencil_samples(kind, rng, shape):
+    rho, j = rng.standard_normal(shape), rng.standard_normal((3,) + shape)
+    if kind == "int64":
+        # an in-place /= on an integer difference would raise
+        return (1000 * rho).astype(np.int64), (1000 * j).astype(np.int64)
+    if kind == "float32":
+        return rho.astype(np.float32), j.astype(np.float32)
+    if kind == "float32-rho":
+        # the first sum promotes float32 to float64, as np.gradient's did
+        return rho.astype(np.float32), j
+    if kind == "float32-j":
+        return rho, j.astype(np.float32)
+    if kind == "reversed":
+        return rho[::-1, :, ::-1], j[:, ::-1]
+    return rho, j
+
+
+@pytest.mark.parametrize(
+    "kind", ["float64", "int64", "float32", "float32-rho", "float32-j", "reversed"]
+)
+@pytest.mark.parametrize(
+    "spacings",
+    [(0.1, 0.2, 0.2, 0.2), (1, 2, 1, 3), tuple(np.float32(h) for h in (0.1, 0.3, 0.2, 0.7))],
+    ids=["float", "int", "float32"],
+)
+def test_divergence_residual_equals_gradient_form_on_any_samples(kind, spacings):
+    rng = np.random.default_rng(17)
+    rho, j = _stencil_samples(kind, rng, (5, 6, 4, 7))
+    assert divergence_residual(rho, j, spacings) == gradient_residual(rho, j, spacings)
+
+
 def test_divergence_residual_validation():
     rho = np.ones((2, 4, 4, 4))
     j = np.zeros((3, 2, 4, 4, 4))

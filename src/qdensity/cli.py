@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import dims, experiment, fieldops, symexpr
+from . import dims, experiment, fieldops, numerics, symexpr
 
 SUBCOMMAND_CLAIMS = {
     "dimensions": (
@@ -235,38 +235,38 @@ def symmetry_checks() -> List[Check]:
 
 
 def _axes(n: int, h: float, nt: int, dt: float):
-    t = np.arange(nt) * dt
     x = np.arange(n) * h
-    tt, xx, yy, zz = np.meshgrid(t, x, x, x, indexing="ij", sparse=True)
-    return tt, (xx, yy, zz)
+    tt, *xyz = np.meshgrid(np.arange(nt) * dt, x, x, x, indexing="ij", sparse=True)
+    return tt, xyz
 
 
 def _dirac_current_on_stencil(waves, n, h, nt, dt):
     tt, xyz = _axes(n, h, nt, dt)
-    psi = waves[0].sample(xyz, tt)
-    for w in waves[1:]:
-        psi += w.sample(xyz, tt)
-    return fieldops.dirac_current(psi, spacings=(dt, h, h, h))
+    for t in np.split(tt, nt):  # (rho, j) one time slice at a time
+        psi = waves[0].sample(xyz, t)
+        for w in waves[1:]:
+            psi += w.sample(xyz, t)
+        current = fieldops.dirac_current(psi)
+        yield current.rho[0], current.j[:, 0]
 
 
 def _kg_current_on_stencil(waves, n, h, nt, dt):
     tt, xyz = _axes(n, h, nt, dt)
-    # one sample per wave: d/dt and grad of e^{i(k.x - omega t)} are factors;
-    # each sum starts from the first wave's term and adds the others in place
     first, *rest = waves
-    phi = first.sample(xyz, tt)
-    phi_t = -1j * first.omega * phi
-    grad = np.empty((3,) + phi.shape, dtype=phi.dtype)
-    for k in range(3):
-        np.multiply(1j * first.k[k], phi, out=grad[k])
-    for wave in rest:
-        base = wave.sample(xyz, tt)
-        phi_t += -1j * wave.omega * base
-        for k in range(3):
-            grad[k] += 1j * wave.k[k] * base
-        phi += base
-        del base  # before kg_current's temporaries
-    return fieldops.kg_current(phi, phi_t, grad_phi=grad, spacings=(dt, h, h, h))
+    for t in np.split(tt, nt):
+        # one sample per wave: d/dt and grad of e^{i(k.x - omega t)} are factors;
+        # each sum starts from the first wave's term and adds the others in place
+        phi = first.sample(xyz, t)
+        phi_t = -1j * first.omega * phi
+        grad = np.multiply.outer(1j * first.k, phi)
+        for wave in rest:
+            base = wave.sample(xyz, t)
+            phi_t += -1j * wave.omega * base
+            for k in range(3):
+                grad[k] += 1j * wave.k[k] * base
+            phi += base
+        current = fieldops.kg_current(phi, phi_t, grad_phi=grad)
+        yield current.rho[0], current.j[:, 0]
 
 
 def continuity_checks() -> List[Check]:
@@ -282,12 +282,16 @@ def continuity_checks() -> List[Check]:
         fieldops.KGPlaneWave.free(0.5 - 0.2j, (-0.3, 0.9, 1.0), mass),
     ]
 
-    res_d = _dirac_current_on_stencil(single_d, 8, 0.2, 6, 0.1).divergence_residual()
-    res_k = _kg_current_on_stencil(single_k, 8, 0.2, 6, 0.1).divergence_residual()
+    def residual(stencil, waves, n, h, nt, dt):
+        slices = stencil(waves, n, h, nt, dt)
+        return numerics.divergence_residual_of_slices(slices, (dt, h, h, h))
 
-    def order(builder, waves):
-        coarse = builder(waves, 11, 0.2, 7, 0.2).divergence_residual()
-        fine = builder(waves, 21, 0.1, 13, 0.1).divergence_residual()
+    res_d = residual(_dirac_current_on_stencil, single_d, 8, 0.2, 6, 0.1)
+    res_k = residual(_kg_current_on_stencil, single_k, 8, 0.2, 6, 0.1)
+
+    def order(stencil, waves):
+        coarse = residual(stencil, waves, 11, 0.2, 7, 0.2)
+        fine = residual(stencil, waves, 21, 0.1, 13, 0.1)
         return float(np.log2(coarse / fine)), coarse, fine
 
     order_d, cd, fd = order(_dirac_current_on_stencil, pair_d)

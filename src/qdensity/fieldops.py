@@ -97,7 +97,8 @@ class KGPlaneWave:
         return cls(N=complex(N), omega=omega, k=k)
 
     def sample(self, x: Sequence[np.ndarray], t) -> np.ndarray:
-        return self.N * _plane_wave(self.omega, self.k, x, t)
+        # N first at any size: `*` would swap it behind a large temporary
+        return np.multiply(self.N, _plane_wave(self.omega, self.k, x, t))
 
     def time_derivative(self, x: Sequence[np.ndarray], t) -> np.ndarray:
         return -1j * self.omega * self.sample(x, t)

@@ -4,13 +4,14 @@ Numerical substrate for the ball-integral experiment and the continuity
 checks: composite Gauss-Legendre quadrature over a solid sphere, explicit
 orthonormal spherical harmonics up to l = 2, the lowest nodeless radial
 modes of the infinite spherical well from the tabulated zeros of j_0 and
-j_1, and a second-order finite-difference residual of d0 rho + div j = 0.
+j_1, and a second-order finite-difference residual of d0 rho + div j = 0,
+formed one time slice at a time.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "solve_well_mode",
     "integrate_ball",
     "divergence_residual",
+    "divergence_residual_of_slices",
 ]
 
 
@@ -244,16 +246,9 @@ def solve_well_mode(l: int, R: float, mass: float) -> RadialMode:
 def divergence_residual(
     rho: np.ndarray, j: np.ndarray, spacings: Sequence[float]
 ) -> float:
-    """Max-norm of d0 rho + div j over interior points of a (t,x,y,z) stencil.
-
-    Second-order central differences in all four directions, formed on the
-    interior only; the residual decays as O(h^2) on smooth exactly
-    conserved currents.  Each difference is the interior of ``np.gradient``
-    bit for bit: integer samples are differenced as float64, and each term
-    keeps its own dtype until the sum promotes it.
-    """
-    rho = np.asarray(rho)
-    j = np.asarray(j)
+    """Max-norm of d0 rho + div j over interior points of a (t,x,y,z) stencil,
+    by :func:`divergence_residual_of_slices` on the stencil's time slices."""
+    rho, j = np.asarray(rho), np.asarray(j)
     if rho.ndim != 4:
         raise ValueError(f"rho must be sampled on a 4D stencil, got {rho.ndim}D")
     if j.shape != (3,) + rho.shape:
@@ -262,19 +257,49 @@ def divergence_residual(
         raise ValueError("spacings must give (dt, dx, dy, dz)")
     if any(n < 3 for n in rho.shape):
         raise ValueError(f"stencil {rho.shape} too small for central differences")
-    inner = (slice(1, -1),) * 4
-    total = None
-    for axis, f in enumerate((rho, *j)):
-        if not np.issubdtype(f.dtype, np.inexact):
-            f = f.astype(np.float64)
-        upper = inner[:axis] + (slice(2, None),) + inner[axis + 1 :]
-        lower = inner[:axis] + (slice(None, -2),) + inner[axis + 1 :]
-        diff = f[upper] - f[lower]
-        diff /= 2.0 * spacings[axis]
-        if total is None:
-            total = diff
-        elif total.dtype == np.result_type(total, diff):
-            total += diff
-        else:
-            total = total + diff
-    return float(np.max(np.abs(total)))
+    return divergence_residual_of_slices(zip(rho, j.swapaxes(0, 1)), spacings)
+
+
+def _inexact(f) -> np.ndarray:
+    f = np.asarray(f)
+    return f if np.issubdtype(f.dtype, np.inexact) else f.astype(np.float64)
+
+
+def divergence_residual_of_slices(
+    slices: Iterable[Tuple[np.ndarray, np.ndarray]], spacings: Sequence[float]
+) -> float:
+    """Max-norm of d0 rho + div j over the interior of a (t,x,y,z) stencil,
+    formed one time slice (rho_t of shape (nx, ny, nz), j_t) at a time from a
+    window of three, by second-order central differences: O(h^2) on smooth
+    conserved currents.  Each is the interior of ``np.gradient`` bit for bit:
+    integer samples are differenced as float64, and each term keeps its own
+    dtype until the sum promotes it."""
+    if len(spacings) != 4:
+        raise ValueError("spacings must give (dt, dx, dy, dz)")
+    inner = (slice(1, -1),) * 3
+    window, peaks = [], []
+    for rho_t, j_t in slices:
+        rho_t, j_t = _inexact(rho_t), np.asarray(j_t)
+        shape = window[0][0].shape if window else rho_t.shape
+        if rho_t.shape != shape or j_t.shape != (3,) + shape:
+            raise ValueError(f"slice {rho_t.shape}, {j_t.shape} does not match {shape}")
+        if len(shape) != 3 or min(shape) < 3:
+            raise ValueError(f"slice {shape} too small for central differences")
+        window = window[-2:] + [(rho_t, j_t)]
+        if len(window) < 3:
+            continue
+        (before, _), (_, flux), (after, _) = window
+        total = after[inner] - before[inner]
+        total /= 2.0 * spacings[0]
+        for axis in range(3):
+            f = _inexact(flux[axis])
+            upper = inner[:axis] + (slice(2, None),) + inner[axis + 1 :]
+            lower = inner[:axis] + (slice(None, -2),) + inner[axis + 1 :]
+            diff = f[upper] - f[lower]
+            diff /= 2.0 * spacings[axis + 1]
+            in_place = total.dtype == np.result_type(total, diff)
+            total = np.add(total, diff, out=total if in_place else None)
+        peaks.append(np.max(np.abs(total)))
+    if not peaks:
+        raise ValueError("central differences in time need at least 3 slices")
+    return float(np.max(peaks))

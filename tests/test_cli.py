@@ -4,14 +4,17 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qdensity
-from qdensity import cli, fieldops
+from qdensity import cli, fieldops, numerics
 from qdensity.cli import CONFIG_KEYS, load_config, main, parse_args, run
+from test_fieldops import out_of_place_kg_current, same_bits, stacked_dirac_current
+from test_numerics import gradient_residual
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
@@ -312,11 +315,15 @@ def test_continuity_passes(capsys):
     assert "[PASS] kg_superposition_order" in out
 
 
-def test_continuity_samples_each_kg_wave_once_on_open_grids(monkeypatch):
-    calls = {"sample": [], "time_derivative": [], "gradient": []}
+@pytest.mark.parametrize("wave_class", [fieldops.KGPlaneWave, fieldops.SpinorPlaneWave])
+def test_continuity_samples_each_wave_once_per_time_slice(monkeypatch, wave_class):
+    calls = {
+        name: [] for name in ("sample", "time_derivative", "gradient")
+        if hasattr(wave_class, name)
+    }
 
     def counted(name):
-        original = getattr(fieldops.KGPlaneWave, name)
+        original = getattr(wave_class, name)
 
         def wrapper(self, x, t):
             calls[name].append((t, *x))
@@ -325,14 +332,16 @@ def test_continuity_samples_each_kg_wave_once_on_open_grids(monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(fieldops.KGPlaneWave, name, counted(name))
+        monkeypatch.setattr(wave_class, name, counted(name))
     cli.continuity_checks()
-    # one wave on the plane-wave stencil, two on each of the order stencils
-    assert {name: len(grids) for name, grids in calls.items()} == {
-        "sample": 5, "time_derivative": 0, "gradient": 0,
-    }
-    for grid in calls["sample"]:
-        for axis in grid:
+    # one wave on the 6-slice plane-wave stencil, two on each of the order
+    # stencils (7 and 13 slices), each sampled once per time slice
+    samples = calls.pop("sample")
+    assert len(samples) == 6 + 2 * 7 + 2 * 13
+    assert all(len(grids) == 0 for grids in calls.values())
+    for t, *xyz in samples:
+        assert t.shape == (1, 1, 1, 1)
+        for axis in xyz:
             assert axis.ndim == 4
             assert sum(n > 1 for n in axis.shape) <= 1
 
@@ -344,21 +353,44 @@ ORDER_STENCILS = [
 ]
 
 
+def _summed(arrays):
+    """Left-to-right sum starting from the first array, as the stencils add."""
+    first, *rest = arrays
+    for array in rest:
+        first = first + array
+    return first
+
+
+def oracle_stencil_current(waves, n, h, nt, dt):
+    """(rho, j) on the whole 4D stencil, every sum and bracket out of place."""
+    tt, xyz = cli._axes(n, h, nt, dt)
+    if isinstance(waves[0], fieldops.SpinorPlaneWave):
+        return stacked_dirac_current(_summed(w.sample(xyz, tt) for w in waves))
+    return out_of_place_kg_current(
+        _summed(w.sample(xyz, tt) for w in waves),
+        _summed(w.time_derivative(xyz, tt) for w in waves),
+        _summed(w.gradient(xyz, tt) for w in waves),
+    )
+
+
+def assert_slices_equal_oracle(stencil, waves, grid):
+    """Every yielded slice is the oracle's slice in bytes; returns the oracle."""
+    rho, j = oracle_stencil_current(waves, *grid)
+    slices = list(stencil(waves, *grid))
+    assert len(slices) == grid[2]
+    for t, (rho_t, j_t) in enumerate(slices):
+        assert np.array_equal(rho_t, rho[t]) and same_bits(rho_t, rho[t])
+        assert np.array_equal(j_t, j[:, t]) and same_bits(j_t, j[:, t])
+    return rho, j
+
+
 @pytest.mark.parametrize("stencil", ORDER_STENCILS)
 def test_kg_stencil_equals_three_samplings_per_wave(stencil):
     waves = [
         fieldops.KGPlaneWave.free(1.0, (1.2, 0.0, 0.4), 1.0),
         fieldops.KGPlaneWave.free(0.5 - 0.2j, (-0.3, 0.9, 1.0), 1.0),
     ]
-    current = cli._kg_current_on_stencil(waves, *stencil)
-    tt, xyz = cli._axes(*stencil)
-    oracle = fieldops.kg_current(
-        sum(w.sample(xyz, tt) for w in waves),
-        sum(w.time_derivative(xyz, tt) for w in waves),
-        grad_phi=sum(w.gradient(xyz, tt) for w in waves),
-    )
-    assert np.array_equal(current.rho, oracle.rho)
-    assert np.array_equal(current.j, oracle.j)
+    assert_slices_equal_oracle(cli._kg_current_on_stencil, waves, stencil)
 
 
 @pytest.mark.parametrize("stencil", ORDER_STENCILS)
@@ -367,11 +399,46 @@ def test_dirac_stencil_equals_the_current_of_summed_samples(stencil):
         fieldops.SpinorPlaneWave.build((0.9, 0.0, 0.2), 1.0, s=1),
         fieldops.SpinorPlaneWave.build((-0.4, 1.1, 0.6), 1.0, s=2),
     ]
-    current = cli._dirac_current_on_stencil(waves, *stencil)
-    tt, xyz = cli._axes(*stencil)
-    oracle = fieldops.dirac_current(sum(w.sample(xyz, tt) for w in waves))
-    assert np.array_equal(current.rho, oracle.rho)
-    assert np.array_equal(current.j, oracle.j)
+    assert_slices_equal_oracle(cli._dirac_current_on_stencil, waves, stencil)
+
+
+def test_continuity_residuals_equal_the_gradient_form_of_the_oracle(monkeypatch):
+    # every stencil the suite builds: its slices, and the residual streamed
+    # from them, against the np.gradient residual of the whole-stencil oracle
+    stencils, residuals = [], []
+
+    def recorded(stencil):
+        def wrapper(*args):
+            stencils.append((stencil, *args))
+            return stencil(*args)
+
+        return wrapper
+
+    def recorded_residual(slices, spacings):
+        residuals.append(original(slices, spacings))
+        return residuals[-1]
+
+    original = numerics.divergence_residual_of_slices
+    monkeypatch.setattr(numerics, "divergence_residual_of_slices", recorded_residual)
+    for name in ("_dirac_current_on_stencil", "_kg_current_on_stencil"):
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+    cli.continuity_checks()
+    assert len(stencils) == len(residuals) == 6
+    for (stencil, waves, *grid), residual in zip(stencils, residuals):
+        rho, j = assert_slices_equal_oracle(stencil, waves, grid)
+        n, h, nt, dt = grid
+        assert residual == gradient_residual(rho, j, (dt, h, h, h))
+
+
+def test_continuity_peak_memory_is_a_few_slices():
+    cli.continuity_checks()  # warm: imports and caches are not counted
+    tracemalloc.start()
+    try:
+        cli.continuity_checks()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_dirac_consistency_passes(capsys):

@@ -9,6 +9,7 @@ from qdensity.numerics import (
     BallGrid,
     composite_gauss_legendre,
     divergence_residual,
+    divergence_residual_of_slices,
     gauss_legendre,
     integrate_ball,
     solve_well_mode,
@@ -446,3 +447,64 @@ def test_divergence_residual_validation():
         divergence_residual(np.ones((4, 4, 4, 4)), j, (0.1,) * 4)
     with pytest.raises(ValueError):
         divergence_residual(np.ones((4, 4, 4, 4)), np.zeros((3, 4, 4, 4, 4)), (0.1,))
+
+
+def _slices(nt, shape=(4, 4, 4), j_shape=None, at=1):
+    """nt (rho_t, j_t) slices of a static uniform current; slice ``at`` gets
+    a flux of shape ``j_shape``."""
+    slices = [(np.ones(shape), np.zeros((3,) + shape)) for _ in range(nt)]
+    if j_shape is not None:
+        slices[at] = (slices[at][0], np.zeros(j_shape))
+    return slices
+
+
+def test_slice_residual_of_a_static_uniform_current_is_zero():
+    assert divergence_residual_of_slices(iter(_slices(3)), (0.1,) * 4) == 0.0
+
+
+@pytest.mark.parametrize("nt", [0, 1, 2])
+def test_slice_residual_needs_three_slices(nt):
+    with pytest.raises(ValueError, match="at least 3 slices"):
+        divergence_residual_of_slices(iter(_slices(nt)), (0.1,) * 4)
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 4, 4), (4, 2, 4), (4, 4, 2), (4, 4), (4, 4, 4, 4)]
+)
+def test_slice_residual_needs_a_3d_slice_of_three_points_per_axis(shape):
+    with pytest.raises(ValueError, match="too small"):
+        divergence_residual_of_slices(iter(_slices(3, shape)), (0.1,) * 4)
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+@pytest.mark.parametrize(
+    "j_shape", [(3, 4, 4, 5), (2, 4, 4, 4), (4, 4, 4), (3, 1, 4, 4, 4)]
+)
+def test_slice_residual_rejects_a_flux_of_another_shape(j_shape, at):
+    slices = _slices(3, j_shape=j_shape, at=at)
+    with pytest.raises(ValueError, match="does not match"):
+        divergence_residual_of_slices(iter(slices), (0.1,) * 4)
+
+
+def test_slice_residual_rejects_slices_of_differing_shapes():
+    slices = _slices(3) + _slices(1, (4, 4, 5))
+    with pytest.raises(ValueError, match="does not match"):
+        divergence_residual_of_slices(iter(slices), (0.1,) * 4)
+    with pytest.raises(ValueError, match="spacings"):
+        divergence_residual_of_slices(iter(_slices(3)), (0.1,) * 3)
+
+
+@pytest.mark.parametrize("t0", range(5))
+@pytest.mark.parametrize("field", ["rho", "j_x", "j_y", "j_z"])
+def test_slice_residual_sees_an_impulse_in_every_slice(field, t0):
+    # a unit impulse at the centre of slice t0 of a 5-slice, 5^3 stencil: in
+    # rho it shows at t0 - 1 and t0 + 1 as 1/(2 dt), in j_k at t0 itself as
+    # 1/(2 h_k), where those slices are interior
+    spacings = (0.25, 0.5, 0.125, 0.0625)
+    rho, j = np.zeros((5, 5, 5, 5)), np.zeros((3, 5, 5, 5, 5))
+    axis = ["rho", "j_x", "j_y", "j_z"].index(field)
+    (rho if axis == 0 else j[axis - 1])[t0, 2, 2, 2] = 1.0
+    seen = axis == 0 or 1 <= t0 <= 3
+    expected = 1.0 / (2.0 * spacings[axis]) if seen else 0.0
+    slices = zip(rho, j.swapaxes(0, 1))
+    assert divergence_residual_of_slices(slices, spacings) == expected

@@ -1,9 +1,11 @@
 """Command-line front end: one subcommand per verification suite.
 
 Each subcommand runs a set of named checks and prints one pass/fail line
-per check (values shown to 12 significant digits).  With ``--out`` the
-full report is written as JSON (floats at 17 significant digits, fixed key
-order, byte-identical across identical invocations) or CSV.  Exit status:
+per check (values shown to 12 significant digits).  A check is a row whose
+``passed`` is ``value relation bound``, decided in ``Check.passed`` alone.
+With ``--out`` the full report is written as JSON (floats at 17 significant
+digits, fixed key order, byte-identical across identical invocations; each
+check carries its ``value``, ``relation`` and ``bound``) or CSV.  Exit status:
 0 when every check passed, 1 when some check failed (the failing claim is
 named), 2 on I/O problems and on bad parameter values, which are rejected
 before any suite runs.  Argument errors exit nonzero via argparse.
@@ -12,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import operator
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -89,67 +93,74 @@ def _json_text(obj, indent: int = 0) -> str:
     return f'"{escaped}"'
 
 
+#: the relations a check may state; ``Check.passed`` is the one place they are applied
+_RELATIONS = {
+    "<=": operator.le, ">=": operator.ge, ">": operator.gt,
+    "==": operator.eq, "!=": operator.ne,
+}
+
+
+@dataclass(frozen=True)
 class Check:
-    def __init__(self, name: str, passed: bool, detail: str):
-        self.name = name
-        self.passed = bool(passed)
-        self.detail = detail
+    """One claim as a row: it passes when ``value relation bound`` holds.
+
+    ``detail`` fills ``{value}`` and ``{bound}`` in ``template`` with floats
+    at 12 significant digits and ``str`` of anything else.
+    """
+
+    name: str
+    value: object
+    relation: str
+    bound: object
+    template: str
+
+    @property
+    def passed(self) -> bool:
+        return bool(_RELATIONS[self.relation](self.value, self.bound))
+
+    @property
+    def detail(self) -> str:
+        value, bound = (
+            _fmt(x) if isinstance(x, float) else str(x)
+            for x in (self.value, self.bound)
+        )
+        return self.template.format(value=value, bound=bound)
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
-
-def _print_checks(title: str, checks: Sequence[Check]) -> None:
-    print(f"== {title}")
-    for check in checks:
-        status = "PASS" if check.passed else "FAIL"
-        print(f"[{status}] {check.name}: {check.detail}")
+        return {
+            "name": self.name, "passed": self.passed, "detail": self.detail,
+            "value": self.value, "relation": self.relation, "bound": self.bound,
+        }
 
 
 # ----- individual suites --------------------------------------------------------
 
 
 def dimension_checks() -> List[Check]:
-    spinor = dims.infer_field_dimension(dims.Dim(-1))
-    scalar = dims.infer_field_dimension(dims.Dim(-2))
+    spinor = dims.infer_field_dimension(dims.Dim(-1)).exponent
+    scalar = dims.infer_field_dimension(dims.Dim(-2)).exponent
     psi_dim = {"psi": dims.Dim(Fraction(-3, 2))}
     phi_dim = {"phi": dims.Dim(-1)}
     density_psi = dims.TermSpec(field_powers={"psi": 2})
     density_phi_bare = dims.TermSpec(field_powers={"phi": 2})
     density_phi_current = dims.TermSpec(field_powers={"phi": 2}, derivative_count=1)
-    checks = [
-        Check(
-            "spinor_field_dimension",
-            spinor.exponent == Fraction(-3, 2),
-            f"inferred exponent {spinor.exponent} (expected -3/2)",
-        ),
-        Check(
-            "scalar_field_dimension",
-            scalar.exponent == Fraction(-1),
-            f"inferred exponent {scalar.exponent} (expected -1)",
-        ),
-        Check(
-            "spinor_density_requirement_A",
-            dims.check_density_requirement_A(density_psi, psi_dim),
-            "psi^dag psi carries dimension -3",
-        ),
-        Check(
-            "scalar_current_density_requirement_A",
-            dims.check_density_requirement_A(density_phi_current, phi_dim),
-            "i(phi* d0 phi - d0 phi* phi) carries dimension -3",
-        ),
-        Check(
-            "bare_modulus_fails_requirement_A",
-            not dims.check_density_requirement_A(density_phi_bare, phi_dim),
-            "phi* phi carries dimension -2, not -3",
-        ),
-        Check(
-            "nonrelativistic_limit_clash",
-            scalar.exponent != Fraction(-3, 2),
-            "scalar dimension -1 cannot match the -3/2 of a Schroedinger density",
-        ),
+    inferred = "inferred exponent {value} (expected {bound})"
+    return [
+        Check("spinor_field_dimension", spinor, "==", Fraction(-3, 2), inferred),
+        Check("scalar_field_dimension", scalar, "==", Fraction(-1), inferred),
+        Check("spinor_density_requirement_A",
+              dims.check_density_requirement_A(density_psi, psi_dim), "==", True,
+              "psi^dag psi carries dimension -3"),
+        Check("scalar_current_density_requirement_A",
+              dims.check_density_requirement_A(density_phi_current, phi_dim),
+              "==", True, "i(phi* d0 phi - d0 phi* phi) carries dimension -3"),
+        Check("bare_modulus_fails_requirement_A",
+              not dims.check_density_requirement_A(density_phi_bare, phi_dim),
+              "==", True, "phi* phi carries dimension -2, not -3"),
+        Check("nonrelativistic_limit_clash", scalar, "!=", Fraction(-3, 2),
+              "scalar dimension {value} cannot match the {bound} of a Schroedinger "
+              "density"),
     ]
-    return checks
 
 
 def derive_checks() -> List[Check]:
@@ -168,38 +179,23 @@ def derive_checks() -> List[Check]:
         0 in derivs for mono in leg_dirac.terms for (_n, derivs) in mono
     )
     return [
-        Check(
-            "spinor_field_equation",
-            el_dirac == symexpr.dirac_field_equation(),
-            "Euler-Lagrange output matches the expected spinor equation",
-        ),
-        Check(
-            "scalar_field_equation",
-            el_kg == symexpr.kg_field_equation(),
-            "Euler-Lagrange output matches the expected covariant scalar equation",
-        ),
-        Check(
-            "spinor_hamiltonian_time_derivative_free",
-            not has_time,
-            "Legendre transform of the spinor Lagrangian has no d0 factor",
-        ),
-        Check(
-            "scalar_hamiltonian_matches_quoted_form",
-            leg_kg == printed,
-            "Legendre transform of the scalar Lagrangian vs the quoted "
-            "sum-of-squares energy density (they differ by e*V*rho unless "
-            "e*V = 0)",
-        ),
-        Check(
-            "scalar_hamiltonian_offset_is_potential_energy",
-            printed == leg_kg - e_v * rho,
-            "quoted energy density equals the Legendre transform minus e*V*rho",
-        ),
-        Check(
-            "free_scalar_hamiltonian_matches_quoted_form",
-            symexpr.set_charge_zero(leg_kg) == symexpr.set_charge_zero(printed),
-            "at e=0 the Legendre transform equals the quoted form node for node",
-        ),
+        Check("spinor_field_equation", el_dirac == symexpr.dirac_field_equation(),
+              "==", True, "Euler-Lagrange output matches the expected spinor equation"),
+        Check("scalar_field_equation", el_kg == symexpr.kg_field_equation(), "==", True,
+              "Euler-Lagrange output matches the expected covariant scalar equation"),
+        Check("spinor_hamiltonian_time_derivative_free", not has_time, "==", True,
+              "Legendre transform of the spinor Lagrangian has no d0 factor"),
+        Check("scalar_hamiltonian_matches_quoted_form", leg_kg == printed, "==", True,
+              "Legendre transform of the scalar Lagrangian vs the quoted "
+              "sum-of-squares energy density (they differ by e*V*rho unless "
+              "e*V = 0)"),
+        Check("scalar_hamiltonian_offset_is_potential_energy",
+              printed == leg_kg - e_v * rho, "==", True,
+              "quoted energy density equals the Legendre transform minus e*V*rho"),
+        Check("free_scalar_hamiltonian_matches_quoted_form",
+              symexpr.set_charge_zero(leg_kg) == symexpr.set_charge_zero(printed),
+              "==", True,
+              "at e=0 the Legendre transform equals the quoted form node for node"),
     ]
 
 
@@ -210,27 +206,16 @@ def symmetry_checks() -> List[Check]:
     real_rho = symexpr.substitute_real(
         symexpr.kg_charge_density(), charge_to_zero=True
     )
+    kind, classified = symexpr.TermSymmetry, "classification: {value}"
     return [
-        Check(
-            "kg_hamiltonian_symmetric",
-            ham is symexpr.TermSymmetry.SYMMETRIC,
-            f"classification: {ham.value}",
-        ),
-        Check(
-            "kg_density_antisymmetric",
-            rho_kg is symexpr.TermSymmetry.ANTISYMMETRIC,
-            f"classification: {rho_kg.value}",
-        ),
-        Check(
-            "dirac_density_no_time_derivative",
-            rho_dirac is symexpr.TermSymmetry.NO_TIME_DERIVATIVE,
-            f"classification: {rho_dirac.value}",
-        ),
-        Check(
-            "real_scalar_density_vanishes",
-            real_rho.is_zero,
-            "substituting phi* = phi and e = 0 annihilates the density",
-        ),
+        Check("kg_hamiltonian_symmetric", ham.value, "==", kind.SYMMETRIC.value,
+              classified),
+        Check("kg_density_antisymmetric", rho_kg.value, "==", kind.ANTISYMMETRIC.value,
+              classified),
+        Check("dirac_density_no_time_derivative", rho_dirac.value, "==",
+              kind.NO_TIME_DERIVATIVE.value, classified),
+        Check("real_scalar_density_vanishes", real_rho.is_zero, "==", True,
+              "substituting phi* = phi and e = 0 annihilates the density"),
     ]
 
 
@@ -269,6 +254,12 @@ def _kg_current_on_stencil(waves, n, h, nt, dt):
         yield current.rho[0], current.j[:, 0]
 
 
+def _order_check(name: str, what: str, coarse: float, fine: float) -> Check:
+    """Second order in h: log2 of the residual at h over the residual at h/2."""
+    return Check(name, float(np.log2(coarse / fine)), ">=", 1.9,
+                 f"{what} {_fmt(coarse)} -> {_fmt(fine)}, observed order {{value}}")
+
+
 def continuity_checks() -> List[Check]:
     mass = 1.0
     single_d = [fieldops.SpinorPlaneWave.build((0.7, -0.3, 0.4), mass)]
@@ -286,37 +277,21 @@ def continuity_checks() -> List[Check]:
         slices = stencil(waves, n, h, nt, dt)
         return numerics.divergence_residual_of_slices(slices, (dt, h, h, h))
 
-    res_d = residual(_dirac_current_on_stencil, single_d, 8, 0.2, 6, 0.1)
-    res_k = residual(_kg_current_on_stencil, single_k, 8, 0.2, 6, 0.1)
-
-    def order(stencil, waves):
+    def order(name, stencil, waves):
         coarse = residual(stencil, waves, 11, 0.2, 7, 0.2)
         fine = residual(stencil, waves, 21, 0.1, 13, 0.1)
-        return float(np.log2(coarse / fine)), coarse, fine
+        return _order_check(name, "residual", coarse, fine)
 
-    order_d, cd, fd = order(_dirac_current_on_stencil, pair_d)
-    order_k, ck, fk = order(_kg_current_on_stencil, pair_k)
+    plane = "max |d0 rho + div j| = {value} <= {bound}"
     return [
-        Check(
-            "dirac_plane_wave_residual",
-            res_d <= 1e-10,
-            f"max |d0 rho + div j| = {_fmt(res_d)} <= 1e-10",
-        ),
-        Check(
-            "kg_plane_wave_residual",
-            res_k <= 1e-10,
-            f"max |d0 rho + div j| = {_fmt(res_k)} <= 1e-10",
-        ),
-        Check(
-            "dirac_superposition_order",
-            order_d >= 1.9,
-            f"residual {_fmt(cd)} -> {_fmt(fd)}, observed order {_fmt(order_d)}",
-        ),
-        Check(
-            "kg_superposition_order",
-            order_k >= 1.9,
-            f"residual {_fmt(ck)} -> {_fmt(fk)}, observed order {_fmt(order_k)}",
-        ),
+        Check("dirac_plane_wave_residual",
+              residual(_dirac_current_on_stencil, single_d, 8, 0.2, 6, 0.1),
+              "<=", 1e-10, plane),
+        Check("kg_plane_wave_residual",
+              residual(_kg_current_on_stencil, single_k, 8, 0.2, 6, 0.1),
+              "<=", 1e-10, plane),
+        order("dirac_superposition_order", _dirac_current_on_stencil, pair_d),
+        order("kg_superposition_order", _kg_current_on_stencil, pair_k),
     ]
 
 
@@ -335,7 +310,6 @@ def dirac_consistency_checks() -> List[Check]:
 
     coarse, h_c, psi_c, h_free = residual(16)
     fine = residual(32)[0]
-    order = float(np.log2(coarse / fine))
 
     e, v0 = 1.0, 0.7
     v_field = np.full(psi_c.shape[1:], v0)
@@ -344,24 +318,12 @@ def dirac_consistency_checks() -> List[Check]:
     )
     h_pot -= h_free
     h_pot -= e * v0 * psi_c
-    shift_err = float(np.max(np.abs(h_pot)))
     return [
-        Check(
-            "schrodinger_form_order",
-            order >= 1.9,
-            f"(H - i d/dt) residual {_fmt(coarse)} -> {_fmt(fine)}, "
-            f"observed order {_fmt(order)}",
-        ),
-        Check(
-            "residual_quadratic_in_h",
-            fine <= coarse / 3.5,
-            f"halving h scales the residual by {_fmt(fine / coarse)}",
-        ),
-        Check(
-            "constant_potential_shift",
-            shift_err <= 1e-10,
-            f"|H(V)psi - H(0)psi - eV psi| = {_fmt(shift_err)} <= 1e-10",
-        ),
+        _order_check("schrodinger_form_order", "(H - i d/dt) residual", coarse, fine),
+        Check("residual_quadratic_in_h", fine / coarse, "<=", 1 / 3.5,
+              "halving h scales the residual by {value}"),
+        Check("constant_potential_shift", float(np.max(np.abs(h_pot))), "<=", 1e-10,
+              "|H(V)psi - H(0)psi - eV psi| = {value} <= {bound}"),
     ]
 
 
@@ -369,40 +331,23 @@ def orthogonality_checks(
     config: experiment.ExperimentConfig,
 ) -> tuple[List[Check], experiment.ExperimentReport]:
     report = experiment.run_orthogonality_experiment(config)
-    checks = [
-        Check(
-            "zero_potential_orthogonality",
-            abs(report.i01) <= 1e-10,
-            f"|I01| = {_fmt(abs(report.i01))} <= 1e-10",
-        )
-    ]
+    checks = [Check("zero_potential_orthogonality", abs(report.i01), "<=", 1e-10,
+                    "|I01| = {value} <= {bound}")]
     coupled = config.e * config.q != 0.0
     for entry in report.sweep:
-        if coupled:
-            checks.append(
-                Check(
-                    f"u_exceeds_error_d={entry.d:g}",
-                    abs(entry.u) > 10.0 * entry.error,
-                    f"|U| = {_fmt(abs(entry.u))} vs 10*error = "
-                    f"{_fmt(10.0 * entry.error)}",
-                )
-            )
-        else:
-            checks.append(
-                Check(
-                    f"u_vanishes_d={entry.d:g}",
-                    abs(entry.u) <= 1e-15,
-                    f"|U| = {_fmt(abs(entry.u))} with e*q = 0",
-                )
-            )
-    if report.u_monotone_decreasing_in_d is not None:
+        d = f"{entry.d:g}"  # the short form unless it reads back as another distance
+        if float(d) != entry.d:
+            d = repr(entry.d)
         checks.append(
-            Check(
-                "u_monotone_decreasing_in_d",
-                bool(report.u_monotone_decreasing_in_d),
-                "|U| strictly decreases as the charge recedes",
-            )
+            Check(f"u_exceeds_error_d={d}", abs(entry.u), ">", 10.0 * entry.error,
+                  "|U| = {value} vs 10*error = {bound}") if coupled else
+            Check(f"u_vanishes_d={d}", abs(entry.u), "<=", 1e-15,
+                  "|U| = {value} with e*q = 0")
         )
+    if report.u_monotone_decreasing_in_d is not None:
+        checks.append(Check("u_monotone_decreasing_in_d",
+                            report.u_monotone_decreasing_in_d, "==", True,
+                            "|U| strictly decreases as the charge recedes"))
     return checks, report
 
 
@@ -552,15 +497,14 @@ def run(args: argparse.Namespace) -> int:
             extra = {"experiment": result.to_json_dict()}
         else:
             checks, extra = _SUITES[suite](), {}
+        rows = [c.as_dict() for c in checks]  # each check decided and worded once
         report["suites"].append(
-            {
-                "suite": suite,
-                "claim": SUBCOMMAND_CLAIMS[suite],
-                "checks": [c.as_dict() for c in checks],
-                **extra,
-            }
+            {"suite": suite, "claim": SUBCOMMAND_CLAIMS[suite], "checks": rows, **extra}
         )
-        _print_checks(suite, checks)
+        print(f"== {suite}")
+        for row in rows:
+            status = "PASS" if row["passed"] else "FAIL"
+            print(f"[{status}] {row['name']}: {row['detail']}")
 
     failing = [
         c["name"] for suite in report["suites"] for c in suite["checks"]

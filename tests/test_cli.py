@@ -1,10 +1,12 @@
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -450,12 +452,20 @@ def test_dirac_consistency_passes(capsys):
 def test_orthogonality_with_uncoupled_config_passes(tmp_path, capsys):
     cfg = tmp_path / "uncoupled.cfg"
     cfg.write_text("e = 0\nresolution = 8\n")
+    out_path = tmp_path / "report.json"
     code = run_cli(
-        ["orthogonality", "--config", str(cfg), "--d", "2,4"]
+        ["orthogonality", "--config", str(cfg), "--d", "2,4", "--out", str(out_path)]
     )
     assert code == 0
     out = capsys.readouterr().out
     assert "[PASS] u_vanishes_d=2" in out
+    # the vanishing bound appears in no detail text, only in the report
+    rows = [
+        (c["name"], c["relation"], c["bound"])
+        for c in json.loads(out_path.read_text())["suites"][0]["checks"]
+        if c["name"].startswith("u_vanishes_d=")
+    ]
+    assert rows == [("u_vanishes_d=2", "<=", 1e-15), ("u_vanishes_d=4", "<=", 1e-15)]
 
 
 def test_orthogonality_json_report(tmp_path):
@@ -572,6 +582,95 @@ def test_all_runs_every_suite_and_reports_the_red_claim(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["passed"] is False
     assert len(payload["suites"]) == 6
+
+
+def report_checks(tmp_path, argv, config=None):
+    """Exit status and check rows of one run written with --out."""
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    out_path = tmp_path / "report.json"
+    status = run_cli(argv + ["--out", str(out_path)])
+    payload = json.loads(out_path.read_text())
+    return status, [check for suite in payload["suites"] for check in suite["checks"]]
+
+
+# the relations a report may state, kept apart from cli's own table
+REL = {
+    "<=": lambda a, b: a <= b,
+    ">=": lambda a, b: a >= b,
+    ">": lambda a, b: a > b,
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+}
+
+
+def as_compared(x):
+    """A reported value or bound as compared: "-3/2" strings are Fractions."""
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except ValueError:
+            return x
+    return x
+
+
+@pytest.mark.parametrize(
+    "argv, config, status",
+    [
+        pytest.param([command], None, 1 if command in ("derive", "all") else 0,
+                     id=command)
+        for command in cli.SUBCOMMAND_CLAIMS
+    ]
+    + [
+        pytest.param(["orthogonality", "--d", "2,4", "--resolution", "8"],
+                     "e = 0\n", 0, id="uncoupled"),
+        pytest.param(["orthogonality", "--resolution", "1"], None, 1,
+                     id="resolution-1"),
+    ],
+)
+def test_every_check_in_the_report_decides_itself(tmp_path, argv, config, status):
+    code, checks = report_checks(tmp_path, argv, config)
+    assert code == status
+    assert checks
+    for check in checks:
+        value, bound = as_compared(check["value"]), as_compared(check["bound"])
+        assert check["passed"] == REL[check["relation"]](value, bound), check["name"]
+    assert any(not check["passed"] for check in checks) == (status == 1)
+
+
+@pytest.mark.parametrize(
+    "distances, labels",
+    [("2,2.0000001", ["2", "2.0000001"]), ("1.5,123456789", ["1.5", "123456789.0"])],
+)
+def test_distance_check_names_read_back_as_the_distances(tmp_path, distances, labels):
+    # six significant digits would name 2 and 2.0000001 alike, and 123456789
+    # as 1.23457e+08
+    _status, checks = report_checks(
+        tmp_path, ["orthogonality", "--d", distances, "--resolution", "4"]
+    )
+    prefix = "u_exceeds_error_d="
+    named = [c["name"][len(prefix):] for c in checks if c["name"].startswith(prefix)]
+    assert named == labels
+    assert [float(x) for x in named] == [float(d) for d in distances.split(",")]
+
+
+@pytest.mark.parametrize(
+    "relation, below, at, above",
+    [
+        ("<=", True, True, False),
+        (">=", False, True, True),
+        (">", False, False, True),
+        ("==", False, True, False),
+        ("!=", True, False, True),
+    ],
+)
+def test_check_decides_its_relation_at_and_beside_the_bound(relation, below, at, above):
+    bound = 1e-10
+    values = (math.nextafter(bound, 0.0), bound, math.nextafter(bound, 1.0))
+    passed = [cli.Check("c", v, relation, bound, "").passed for v in values]
+    assert passed == [below, at, above]
 
 
 @pytest.mark.parametrize(

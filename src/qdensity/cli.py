@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import operator
 import sys
 from dataclasses import dataclass
@@ -395,7 +396,8 @@ def load_config(path: str) -> dict:
     return values
 
 
-def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:  # built once; parsing does not change it
     parser = argparse.ArgumentParser(
         prog="qdensity",
         description=(
@@ -422,7 +424,11 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
                 help="base grid resolution: radial panels and polar order "
                 "(the azimuth takes one node, exact for these m = 0 integrands)",
             )
-    return parser.parse_args(argv)
+    return parser
+
+
+def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    return _parser().parse_args(argv)
 
 
 def _experiment_config(

@@ -10,6 +10,11 @@ structure to differentiate Lagrangians, form Euler-Lagrange equations and
 Legendre transforms, classify the highest time-derivative terms, and decide
 equality structurally.  No general computer algebra is attempted.
 
+Coefficient parts are ``int`` where integral, as every catalog coefficient
+is, and ``Fraction`` otherwise: ``int`` arithmetic is far cheaper, the two
+mix exactly, and ``2 == Fraction(2)`` with equal hashes, so equality and
+hashing of expressions cannot tell them apart.
+
 Gamma matrices enter only as opaque constant tags ``gamma0..gamma3``; their
 numeric realization lives in :mod:`qdensity.fieldops`.
 """
@@ -35,16 +40,19 @@ class UnsupportedStructureError(ValueError):
 
 @dataclass(frozen=True)
 class ExactComplex:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational parts, each an int where integral."""
 
-    re: Fraction
-    im: Fraction
+    re: int | Fraction
+    im: int | Fraction
 
     @staticmethod
     def of(value: ScalarLike) -> "ExactComplex":
         if isinstance(value, ExactComplex):
             return value
-        return ExactComplex(Fraction(value), Fraction(0))
+        # a float is not the decimal it was written as, and a bool no number
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            return ExactComplex(int(value) if value.denominator == 1 else value, 0)
+        raise TypeError(f"{type(value).__name__} is not an exact coefficient")
 
     def __add__(self, other: "ExactComplex") -> "ExactComplex":
         if not isinstance(other, ExactComplex):
@@ -52,10 +60,9 @@ class ExactComplex:
         return ExactComplex(self.re + other.re, self.im + other.im)
 
     def __mul__(self, other: object) -> "ExactComplex":
-        if isinstance(other, (int, Fraction)):
-            other = ExactComplex.of(other)
-        if not isinstance(other, ExactComplex):
-            return NotImplemented
+        if isinstance(other, FieldExpr):
+            return NotImplemented  # FieldExpr.__rmul__ forms the product
+        other = ExactComplex.of(other)
         return ExactComplex(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -88,8 +95,8 @@ class ExactComplex:
         return f"({self.re}{sign}{imag})"
 
 
-ONE = ExactComplex(Fraction(1), Fraction(0))
-I = ExactComplex(Fraction(0), Fraction(1))
+ONE = ExactComplex(1, 0)
+I = ExactComplex(0, 1)
 
 
 def _symbol_kind(name: str) -> str:

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import math
 import os
@@ -81,6 +82,32 @@ def test_option_surface_matches_the_table(monkeypatch):
         for name, sub in subparsers.choices.items()
     }
     assert surface == OPTION_TABLE
+
+
+def test_the_cached_parser_keeps_calls_independent(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli._parser.cache_clear()
+    first = parse_args(["all", "--d", "1.5,2", "--resolution", "4", "--format", "csv"])
+    assert len(built) == 1 + len(cli.SUBCOMMAND_CLAIMS)  # the root and each subcommand
+    assert (first.d, first.resolution, first.format) == ((1.5, 2.0), 4, "csv")
+    second = parse_args(["orthogonality"])
+    with pytest.raises(SystemExit) as err:
+        parse_args(["orthogonality", "--resolution", "four"])
+    assert err.value.code == 2
+    third = parse_args(["derive"])
+    assert len(built) == 1 + len(cli.SUBCOMMAND_CLAIMS)
+    assert vars(second) == {
+        "command": "orthogonality", "out": None, "format": "json",
+        "config": None, "d": None, "resolution": None,
+    }
+    assert vars(third) == {"command": "derive", "out": None, "format": "json"}
 
 
 @pytest.mark.parametrize(
@@ -283,6 +310,21 @@ def test_bad_config_value_names_file_and_line(tmp_path, capsys, argv, text, key)
     assert captured.err.startswith(f"error: cannot read config: {path}:2: key {key}: ")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["dimensions", "derive", "symmetry", "all"])
+def test_a_warm_run_leaves_no_cyclic_garbage(tmp_path, capsys, command):
+    # garbage in reference cycles waits for the collector, so peak memory
+    # would follow the collector's timing instead of the program's needs
+    argv = [command, "--out", str(tmp_path / "report.json")]
+    run_cli(argv)  # warm-up
+    gc.collect()
+    gc.disable()
+    try:
+        run_cli(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ----- subcommand outcomes ------------------------------------------------------------

@@ -4,7 +4,6 @@ input range, and the ring laws of FieldExpr."""
 import functools
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from qdensity.numerics import BallGrid, integrate_ball  # noqa: E402
 from qdensity.symexpr import (  # noqa: E402
     ExactComplex,
     FieldExpr,
+    I,
     dirac_lagrangian,
     kg_charge_density,
     kg_hamiltonian_density,
@@ -141,11 +141,11 @@ CATALOG_FACTORS = sorted(
         for factor in mono
     }
 )
-small = st.integers(-3, 3)
+small = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
 leaves = st.one_of(
     st.sampled_from(CATALOG_FACTORS).map(lambda f: FieldExpr.atom(*f)),
     st.builds(
-        lambda re, im: FieldExpr.scalar(ExactComplex(Fraction(re), Fraction(im))),
+        lambda re, im: FieldExpr.scalar(ExactComplex.of(re) + ExactComplex.of(im) * I),
         small,
         small,
     ),

@@ -7,6 +7,8 @@ import pytest
 
 from qdensity.symexpr import (
     D,
+    ONE,
+    ExactComplex,
     FieldExpr,
     I,
     TermSymmetry,
@@ -109,6 +111,16 @@ def test_canonicalization_is_idempotent():
             assert not coeff.is_zero
 
 
+def test_integral_coefficient_parts_are_stored_as_int():
+    # int arithmetic is what keeps the all-integer catalog cheap
+    derived = [build() for build in GOLDEN_DERIVATIONS.values()]
+    for expr in [*catalog_expressions(), *derived]:
+        for coeff in expr.terms.values():
+            assert type(coeff.re) is int and type(coeff.im) is int
+    assert type(ExactComplex.of(Fraction(4, 2)).re) is int
+    assert type(ExactComplex.of(Fraction(1, 2)).re) is Fraction
+
+
 def test_product_is_commutative_in_canonical_form():
     a = field("phi") * D("phi_star", 0) * constant("e")
     b = constant("e") * D("phi_star", 0) * field("phi")
@@ -122,6 +134,48 @@ def test_evaluate_respects_ring_operations():
     env = random_env(3)
     assert abs(evaluate(x * y, env) - evaluate(x, env) * evaluate(y, env)) < 1e-12
     assert abs(evaluate(x + y, env) - (evaluate(x, env) + evaluate(y, env))) < 1e-12
+
+
+def test_rational_coefficients_multiply_and_collect_exactly():
+    # (1/2 phi - 2/3 i phi*) (2 phi - 3 phi*), expanded by hand:
+    # phi^2 - 3/2 phi phi* - 4/3 i phi* phi + 2 i phi*^2
+    half, m23 = Fraction(1, 2), Fraction(-2, 3)
+    phi, phis = field("phi"), field("phi_star")
+    a = half * phi + m23 * I * phis
+    b = 2 * phi - 3 * phis
+    product = a * b
+    pp = (("phi", ()), ("phi", ()))
+    ps = (("phi", ()), ("phi_star", ()))
+    ss = (("phi_star", ()), ("phi_star", ()))
+    assert product.terms == {
+        pp: ExactComplex(1, 0),
+        ps: ExactComplex(Fraction(-3, 2), Fraction(-4, 3)),
+        ss: ExactComplex(0, 2),
+    }
+    assert canonical_text(product).splitlines() == [
+        "1 * phi phi", "(-3/2-4/3i) * phi phi_star", "2i * phi_star phi_star"
+    ]
+    # sums that collect back to an integer, or to nothing
+    assert half * phi + half * phi == phi
+    assert (m23 * phi + Fraction(2, 3) * phi).is_zero
+    assert (m23 * I * phis) * (Fraction(3, 2) * I * phis) == field("phi_star") * phis
+    assert_structurally_and_numerically_equal(
+        product, a * (2 * phi) - a * (3 * phis)
+    )
+
+
+@pytest.mark.parametrize("value", [0.1, True, 1j, "1/2"], ids=repr)
+def test_inexact_or_foreign_coefficients_are_rejected(value):
+    name = type(value).__name__
+    for multiply in (
+        lambda: ExactComplex.of(value),
+        lambda: ONE * value,
+        lambda: value * I,
+        lambda: field("phi") * value,
+        lambda: value * field("phi"),
+    ):
+        with pytest.raises(TypeError, match=rf"\b{name}\b"):
+            multiply()
 
 
 def test_total_derivative_product_rule():

@@ -3,18 +3,20 @@
 Each subcommand runs a set of named checks and prints one pass/fail line
 per check (values shown to 12 significant digits).  A check is a row whose
 ``passed`` is ``value relation bound``, decided in ``Check.passed`` alone.
-With ``--out`` the full report is written as JSON (floats at 17 significant
-digits, fixed key order, byte-identical across identical invocations; each
-check carries its ``value``, ``relation`` and ``bound``) or CSV.  Exit status:
-0 when every check passed, 1 when some check failed (the failing claim is
-named), 2 on I/O problems and on bad parameter values, which are rejected
-before any suite runs.  Argument errors exit nonzero via argparse.
+With ``--out`` the full report is written as one line of JSON (floats as
+their shortest round-trip ``repr``, fixed key order, byte-identical across
+identical invocations; each check carries its ``value``, ``relation`` and
+``bound``) or CSV.  Exit status: 0 when every check passed, 1 when some
+check failed (the failing claim is named), 2 on I/O problems and on bad
+parameter values, which are rejected before any suite runs.  Argument
+errors exit nonzero via argparse.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import functools
+import json
 import operator
 import sys
 from dataclasses import dataclass
@@ -61,37 +63,8 @@ SUBCOMMAND_CLAIMS = {
 # ----- report plumbing ----------------------------------------------------------
 
 
-def _fmt(value: float, digits: int = 12) -> str:
-    return format(float(value), f".{digits}g")
-
-
-def _json_text(obj, indent: int = 0) -> str:
-    """Deterministic JSON: insertion-ordered keys, floats at 17 digits."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  "{key}": {_json_text(val, indent + 1)}'
-            for key, val in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {_json_text(val, indent + 1)}" for val in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
-    text = str(obj)
-    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+def _fmt(value: float) -> str:
+    return format(float(value), ".12g")
 
 
 #: the relations a check may state; ``Check.passed`` is the one place they are applied
@@ -452,7 +425,9 @@ def _write_report(args: argparse.Namespace, report: dict) -> None:
         return
     with open(args.out, "w", newline="") as fh:
         if args.format == "json":
-            fh.write(_json_text(report) + "\n")
+            # no indent: only the one-shot C encoder leaves no reference cycles;
+            # default=str writes the Fraction exponents as "-3/2"
+            fh.write(json.dumps(report, default=str) + "\n")
             return
         writer = csv.writer(fh)
         if args.command == "orthogonality":

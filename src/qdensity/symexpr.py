@@ -146,9 +146,13 @@ class FieldExpr:
     # ----- ring operations -------------------------------------------------
 
     def __add__(self, other: "FieldExpr") -> "FieldExpr":
+        if not isinstance(other, FieldExpr):
+            return NotImplemented  # scalars are not lifted: no caller adds one
         return _collect(other.terms.items(), dict(self.terms))
 
     def __sub__(self, other: "FieldExpr") -> "FieldExpr":
+        if not isinstance(other, FieldExpr):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "FieldExpr":

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -312,11 +313,16 @@ def test_bad_config_value_names_file_and_line(tmp_path, capsys, argv, text, key)
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", ["dimensions", "derive", "symmetry", "all"])
+@pytest.mark.parametrize(
+    "command",
+    [["dimensions"], ["derive"], ["symmetry"], ["all"],
+     ["orthogonality", "--format", "csv"]],
+    ids=" ".join,
+)
 def test_a_warm_run_leaves_no_cyclic_garbage(tmp_path, capsys, command):
     # garbage in reference cycles waits for the collector, so peak memory
     # would follow the collector's timing instead of the program's needs
-    argv = [command, "--out", str(tmp_path / "report.json")]
+    argv = command + ["--out", str(tmp_path / "report.json")]
     run_cli(argv)  # warm-up
     gc.collect()
     gc.disable()
@@ -554,17 +560,51 @@ def test_json_report_is_byte_identical_across_runs(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_json_floats_carry_17_significant_digits(tmp_path):
-    out_path = tmp_path / "report.json"
-    run_cli(
-        ["orthogonality", "--d", "2", "--resolution", "8", "--out", str(out_path)]
+def assert_reads_back(written, read):
+    """``read`` is ``written`` leaf for leaf; floats compared in their bytes."""
+    if isinstance(written, dict):
+        assert list(read) == list(written)
+        for key, value in written.items():
+            assert_reads_back(value, read[key])
+    elif isinstance(written, list):
+        assert len(read) == len(written)
+        for value, back in zip(written, read):
+            assert_reads_back(value, back)
+    elif isinstance(written, float):
+        assert type(read) is float
+        assert struct.pack("<d", read) == struct.pack("<d", written)
+    elif isinstance(written, Fraction):
+        assert read == str(written)
+    else:
+        assert type(read) is type(written) and read == written
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [pytest.param([command], None, id=command) for command in cli.SUBCOMMAND_CLAIMS]
+    + [pytest.param(["orthogonality"], "e = 0\n", id="uncoupled")],
+)
+def test_json_report_reads_back_bit_for_bit(tmp_path, monkeypatch, argv, config):
+    # each float is written as its shortest round-trip repr, so it reads back
+    # as the same double (-0.0 included) and an integral float stays a float
+    written = []
+    write = cli._write_report
+    monkeypatch.setattr(
+        cli, "_write_report", lambda args, r: written.append(r) or write(args, r)
     )
-    text = out_path.read_text()
-    payload = json.loads(text)
-    omega0 = payload["suites"][0]["experiment"]["omega0"]
-    # the literal in the file is the 17-significant-digit rendering
-    assert f'"omega0": {format(omega0, ".17g")}' in text
-    assert len(format(omega0, ".17g").replace(".", "")) >= 16
+    report_checks(tmp_path, argv, config)
+    literals = []
+    read = json.loads(
+        (tmp_path / "report.json").read_text(),
+        parse_float=lambda text: literals.append(text) or float(text),
+    )
+    assert_reads_back(written[0], read)
+    assert all(text == repr(float(text)) for text in literals)
+    if argv[0] in ("orthogonality", "all"):
+        parameters = read["suites"][-1]["experiment"]["parameters"]
+        sizes = ("n_panels", "order", "n_theta", "n_phi", "n_phi_effective")
+        assert all(type(parameters[key]) is int for key in sizes)
+        assert all(type(parameters[key]) is float for key in ("R", "mass", "e", "q"))
 
 
 def test_orthogonality_csv_report(tmp_path):

@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 from fractions import Fraction
@@ -176,6 +177,23 @@ def test_inexact_or_foreign_coefficients_are_rejected(value):
     ):
         with pytest.raises(TypeError, match=rf"\b{name}\b"):
             multiply()
+
+
+@pytest.mark.parametrize(
+    "symbol, combine, scalar",
+    [
+        ("+", operator.add, 1),
+        ("-", operator.sub, 1),
+        ("+", operator.add, Fraction(1, 2)),
+        ("-", operator.sub, 0.5),
+    ],
+    ids=["+1", "-1", "+Fraction(1,2)", "-0.5"],
+)
+def test_adding_a_scalar_is_refused_naming_both_types(symbol, combine, scalar):
+    # no caller adds a scalar, so none is lifted; Python names both operands
+    both = rf"for {re.escape(symbol)}: 'FieldExpr' and '{type(scalar).__name__}'"
+    with pytest.raises(TypeError, match=both):
+        combine(field("phi"), scalar)
 
 
 def test_total_derivative_product_rule():

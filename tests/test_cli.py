@@ -491,6 +491,43 @@ def test_continuity_peak_memory_is_a_few_slices():
     assert peak <= 4 * 2**20
 
 
+def test_dirac_consistency_equals_the_full_cube():
+    """The suite samples z on 3 nodes, exact only while its wave is constant
+    in z. Oracle: its residuals and constant-V shift on full n^3 cubes."""
+    mass = 1.0
+    wave = fieldops.SpinorPlaneWave.build((1.0, 1.0, 0.0), mass)
+
+    def residual(n):
+        h = 2.0 * np.pi / n
+        axes = [np.arange(n) * h] * 3
+        psi = wave.sample(np.meshgrid(*axes, indexing="ij", sparse=True), 0.0)
+        h_psi = fieldops.dirac_hamiltonian_apply(psi, (h, h, h), mass)
+        return float(np.max(np.abs(h_psi - wave.energy * psi))), h, psi, h_psi
+
+    coarse, h, psi, h_free = residual(16)
+    fine = residual(32)[0]
+    e, v0 = 1.0, 0.7
+    h_pot = fieldops.dirac_hamiltonian_apply(
+        psi, (h, h, h), mass, e=e, V=np.full(psi.shape[1:], v0)
+    )
+    shift = float(np.max(np.abs(h_pot - h_free - e * v0 * psi)))
+    checks = cli.dirac_consistency_checks()
+    expected = [float(np.log2(coarse / fine)), fine / coarse, shift]
+    assert [c.value for c in checks] == expected
+    assert f"{coarse:.12g} -> {fine:.12g}," in checks[0].detail
+
+
+def test_dirac_consistency_peak_memory():
+    cli.dirac_consistency_checks()  # warm: imports and caches are not counted
+    tracemalloc.start()
+    try:
+        cli.dirac_consistency_checks()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
 def test_dirac_consistency_passes(capsys):
     assert run_cli(["dirac-consistency"]) == 0
     out = capsys.readouterr().out

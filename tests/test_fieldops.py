@@ -391,9 +391,14 @@ HAMILTONIAN_CASES = {
     "massless": ((5, 6, 7), (0.3, 0.25, 0.2), 0.0, True),
     # on an axis of 3 points both neighbours of every point wrap
     "three-point-axis": ((3, 6, 5), (0.7, 0.25, 0.2), 1.1, True),
-    # the dirac-consistency suite's grid
+    # the full 16^3 cube of acceptance criterion 5, and the (n, n, 3) grids on
+    # which the dirac-consistency suite samples its z-constant wave
     "cli-grid": ((16, 16, 16), (2.0 * math.pi / 16,) * 3, 1.0, False),
     "cli-grid-potential": ((16, 16, 16), (2.0 * math.pi / 16,) * 3, 1.0, True),
+    "cli-grid-16x16x3": ((16, 16, 3), (2.0 * math.pi / 16,) * 3, 1.0, False),
+    "cli-grid-16x16x3-potential": ((16, 16, 3), (2.0 * math.pi / 16,) * 3, 1.0, True),
+    "cli-grid-32x32x3": ((32, 32, 3), (2.0 * math.pi / 32,) * 3, 1.0, False),
+    "cli-grid-32x32x3-potential": ((32, 32, 3), (2.0 * math.pi / 32,) * 3, 1.0, True),
 }
 
 

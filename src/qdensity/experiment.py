@@ -122,20 +122,12 @@ def normalize_kg_state(state: KGState, grid: BallGrid) -> KGState:
     return replace(state, norm=state.norm * scale)
 
 
-def _potential_integral(
-    overlap: np.ndarray, potential: np.ndarray, weights: np.ndarray, e: float
-) -> complex:
-    """-2 e * integral of V conj(phi_a) phi_b from the overlap conj(phi_a) phi_b
-    and the volume weights, in one order of operations for every caller."""
-    return -2.0 * e * complex(np.sum((potential * overlap) * weights))
-
-
 def potential_term(
     a: KGState, b: KGState, grid: BallGrid, potential: np.ndarray, e: float
 ) -> complex:
     """The -2eV contribution U to the inner product at t = 0, isolated."""
     overlap = np.conj(a.spatial(grid)) * b.spatial(grid)
-    return _potential_integral(overlap, potential, grid.volume_weights(), e)
+    return -2.0 * e * integrate_ball(potential * overlap, grid)
 
 
 # ----- the experiment ----------------------------------------------------------
@@ -241,23 +233,22 @@ class ExperimentReport:
 
 def _sweep_on_grid(
     config: ExperimentConfig, grid: BallGrid, raw: Tuple[KGState, KGState]
-) -> Tuple[complex, list, KGState, KGState]:
-    """I01 and U(d) for every d on one grid: the raw states are normalized, and
-    their overlap and the volume weights made once; each d costs one potential
-    and one sum.  The overlap is formed in place: a third grid-sized array made
-    peak RSS vary."""
+) -> Tuple[complex, list, float, float]:
+    """I01, U(d) for every d, and the two norms on one grid.  The raw states
+    are normalized and their overlap made once; each d costs one potential
+    and one :func:`integrate_ball` call.  The overlap is formed in place: a
+    third grid-sized array made peak RSS vary."""
     state0, state1 = (normalize_kg_state(state, grid) for state in raw)
     overlap = state0.spatial(grid)
     np.multiply(np.conj(overlap, out=overlap), state1.spatial(grid), out=overlap)
-    weights = grid.volume_weights()
     # the zero-potential density at t = 0 is the (omega0 + omega1)-weighted overlap
     omega_sum = state0.sigma * state0.omega + state1.sigma * state1.omega
-    i01 = -omega_sum * complex(np.sum(overlap * weights))
+    i01 = -omega_sum * integrate_ball(overlap, grid)
     values = []
     for d in config.d_values:
         v = external_potential(ExternalCharge(q=config.q, d=d), grid)
-        values.append(_potential_integral(overlap, v, weights, config.e))
-    return i01, values, state0, state1
+        values.append(-2.0 * config.e * integrate_ball(v * overlap, grid))
+    return i01, values, abs(state0.norm), abs(state1.norm)
 
 
 def run_orthogonality_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -275,9 +266,8 @@ def run_orthogonality_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
     # the well modes depend on R and the mass only: solve each once
     raw = (well_state(0, 0, coarse, config.mass), well_state(1, 0, coarse, config.mass))
-    i01_c, u_c, _s0, _s1 = _sweep_on_grid(config, coarse, raw)
-    i01_f, u_f, state0, state1 = _sweep_on_grid(config, fine, raw)
-    norm0, norm1 = abs(state0.norm), abs(state1.norm)
+    i01_c, u_c, _, _ = _sweep_on_grid(config, coarse, raw)
+    i01_f, u_f, norm0, norm1 = _sweep_on_grid(config, fine, raw)
 
     entries = [
         SweepEntry(d=d, u=uf, u_raw=uf / (norm0 * norm1), error=abs(uf - uc))
@@ -300,8 +290,8 @@ def run_orthogonality_experiment(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         parameters=parameters,
         sign_convention=SIGN_CONVENTION,
-        omega0=state0.omega,
-        omega1=state1.omega,
+        omega0=raw[0].omega,
+        omega1=raw[1].omega,
         norm0=norm0,
         norm1=norm1,
         i01=i01_f,

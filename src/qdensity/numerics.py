@@ -45,12 +45,9 @@ def composite_gauss_legendre(
         raise ValueError(f"panel count must be >= 1, got {panels}")
     base_x, base_w = gauss_legendre(order)
     edges = np.linspace(a, b, panels + 1)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(half * base_x + 0.5 * (hi + lo))
-        weights.append(half * base_w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    return (half * base_x + 0.5 * (hi + lo)).ravel(), (half * base_w).ravel()
 
 
 @dataclass(frozen=True)

@@ -335,21 +335,34 @@ def _i01_and_u_by_functions(config, grid):
     return inner_product(s0, s1, grid), u
 
 
-def test_report_equals_potential_term_and_inner_product_exactly():
-    # the sweep forms the overlap and fetches the weights once per grid; each
-    # value must still carry the bits of the one-call-per-value functions on
-    # the experiment's own grids, which take one azimuth node
-    report = run_orthogonality_experiment(SMALL)
-    coarse = BallGrid.build(SMALL.R, SMALL.n_panels, SMALL.order, SMALL.n_theta, 1)
+# shaped like the benchmark's sweep-dense operations: resolution 16 (fine grid
+# 32), 16 distances log-spaced inside (1.05 R, 8 R), and R, mass, e and q away
+# from 1
+SWEEP_DENSE_LIKE = ExperimentConfig(
+    R=1.9, mass=0.55, e=0.8, q=1.7,
+    d_values=tuple(1.9 * 1.05 * (8.0 / 1.05) ** ((k + 0.5) / 16) for k in range(16)),
+    n_panels=16, order=8, n_theta=16, n_phi=16,
+)
+
+
+@pytest.mark.parametrize(
+    "config", [SMALL, SWEEP_DENSE_LIKE], ids=["small", "sweep-dense-like"]
+)
+def test_report_equals_potential_term_and_inner_product_exactly(config):
+    # the sweep forms the overlap once per grid and integrates it against each
+    # potential; each value must still carry the bits of the one-call-per-value
+    # functions on the experiment's own grids, which take one azimuth node
+    report = run_orthogonality_experiment(config)
+    coarse = BallGrid.build(config.R, config.n_panels, config.order, config.n_theta, 1)
     fine = BallGrid.build(
-        SMALL.R, 2 * SMALL.n_panels, SMALL.order, 2 * SMALL.n_theta, 1
+        config.R, 2 * config.n_panels, config.order, 2 * config.n_theta, 1
     )
     (i01_c, u_c), (i01_f, u_f) = (
-        _i01_and_u_by_functions(SMALL, g) for g in (coarse, fine)
+        _i01_and_u_by_functions(config, g) for g in (coarse, fine)
     )
     assert report.i01 == i01_f
     assert report.i01_error == abs(i01_f - i01_c)
-    assert [entry.d for entry in report.sweep] == list(SMALL.d_values)
+    assert [entry.d for entry in report.sweep] == list(config.d_values)
     for entry, uc, uf in zip(report.sweep, u_c, u_f):
         assert entry.u == uf
         assert entry.error == abs(uf - uc)
@@ -410,6 +423,24 @@ def test_state_samplings_do_not_grow_with_the_sweep(monkeypatch):
         assert all(shape[2] == 1 for shape in calls)
     # per grid: two unnormalized samplings to normalize, two for the overlap
     assert counts == [8, 8]
+
+
+def test_every_ball_sum_is_one_integrate_ball_call(monkeypatch):
+    calls = []
+    original = experiment.integrate_ball
+
+    def counted(f, grid):
+        calls.append(grid.shape)
+        return original(f, grid)
+
+    monkeypatch.setattr(experiment, "integrate_ball", counted)
+    for n in (1, 16):
+        calls.clear()
+        d_values = tuple(1.5 + 0.25 * k for k in range(n))
+        run_orthogonality_experiment(replace(SMALL, d_values=d_values))
+        # per grid: two norms, I01 and one U per distance
+        assert len(calls) == 2 * (3 + n)
+        assert all(shape[2] == 1 for shape in calls)
 
 
 def test_well_modes_are_solved_once_per_experiment(monkeypatch):

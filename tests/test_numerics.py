@@ -68,6 +68,32 @@ def test_composite_rule_covers_interval():
     assert np.all((nodes > 0.0) & (nodes < 2.0))
 
 
+def _composite_rule_panel_by_panel(a, b, panels, order):
+    """The composite rule formed one panel at a time: the loop form that the
+    broadcast must match bit for bit."""
+    base_x, base_w = gauss_legendre(order)
+    edges = np.linspace(a, b, panels + 1)
+    nodes, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        nodes.append(half * base_x + 0.5 * (hi + lo))
+        weights.append(half * base_w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("order", [1, 3, 8])
+@pytest.mark.parametrize("panels", [1, 2, 16, 32])
+@pytest.mark.parametrize(
+    "a, b", [(0, 1), (0, 0.5123), (0, 1.9999), (-1, 3), (2.5, 7.25)]
+)
+def test_composite_rule_equals_panel_by_panel_form_bit_for_bit(a, b, panels, order):
+    got = composite_gauss_legendre(a, b, panels, order)
+    want = _composite_rule_panel_by_panel(a, b, panels, order)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (panels * order,)
+        assert g.tobytes() == w.tobytes()
+
+
 # ----- ball grid and integration ----------------------------------------------------
 
 

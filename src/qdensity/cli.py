@@ -138,14 +138,11 @@ def dimension_checks() -> List[Check]:
 
 
 def derive_checks() -> List[Check]:
-    el_dirac = symexpr.euler_lagrange(symexpr.dirac_lagrangian(), "psibar")
-    el_kg = symexpr.euler_lagrange(symexpr.kg_lagrangian(), "phi_star")
-    leg_dirac = symexpr.legendre_transform(
-        symexpr.dirac_lagrangian(), ["psi", "psibar"]
-    )
-    leg_kg = symexpr.legendre_transform(
-        symexpr.kg_lagrangian(), ["phi", "phi_star"]
-    )
+    dirac, kg = symexpr.dirac_lagrangian(), symexpr.kg_lagrangian()
+    el_dirac = symexpr.euler_lagrange(dirac, "psibar")
+    el_kg = symexpr.euler_lagrange(kg, "phi_star")
+    leg_dirac = symexpr.legendre_transform(dirac, ["psi", "psibar"])
+    leg_kg = symexpr.legendre_transform(kg, ["phi", "phi_star"])
     printed = symexpr.kg_hamiltonian_density()
     rho = symexpr.kg_charge_density()
     e_v = symexpr.constant("e") * symexpr.potential("V")
@@ -174,12 +171,11 @@ def derive_checks() -> List[Check]:
 
 
 def symmetry_checks() -> List[Check]:
+    rho = symexpr.kg_charge_density()
     ham = symexpr.classify_time_symmetry(symexpr.kg_hamiltonian_density())
-    rho_kg = symexpr.classify_time_symmetry(symexpr.kg_charge_density())
+    rho_kg = symexpr.classify_time_symmetry(rho)
     rho_dirac = symexpr.classify_time_symmetry(symexpr.dirac_charge_density())
-    real_rho = symexpr.substitute_real(
-        symexpr.kg_charge_density(), charge_to_zero=True
-    )
+    real_rho = symexpr.substitute_real(rho, charge_to_zero=True)
     kind, classified = symexpr.TermSymmetry, "classification: {value}"
     return [
         Check("kg_hamiltonian_symmetric", ham.value, "==", kind.SYMMETRIC.value,
@@ -290,10 +286,7 @@ def dirac_consistency_checks() -> List[Check]:
     fine = residual(32)[0]
 
     e, v0 = 1.0, 0.7
-    v_field = np.full(psi_c.shape[1:], v0)
-    h_pot = fieldops.dirac_hamiltonian_apply(
-        psi_c, (h_c, h_c, h_c), mass, e=e, V=v_field
-    )
+    h_pot = fieldops.dirac_hamiltonian_apply(psi_c, (h_c, h_c, h_c), mass, e=e, V=v0)
     h_pot -= h_free
     h_pot -= e * v0 * psi_c
     return [
@@ -461,6 +454,9 @@ _SUITES = {
 
 def run(args: argparse.Namespace) -> int:
     """Execute a parsed command; returns the process exit status."""
+    if args.format == "csv" and not args.out:
+        print("error: --format csv needs --out", file=sys.stderr)
+        return 2
     suites = list(_SUITES) if args.command == "all" else [args.command]
 
     if "orthogonality" in suites:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
@@ -45,24 +45,31 @@ SIGN_CONVENTION = (
 #: this range; outside it the quadrature over- or underflows
 MIN_MAGNITUDE = 1e-30
 MAX_MAGNITUDE = 1e30
+#: larger grids exhaust memory: resolution 362, 4,193,408 fine nodes, peaks near 370 MB
+MAX_GRID_SIZE = 512
+MAX_GRID_POINTS = 2**22
 
 
 @dataclass(frozen=True)
 class KGState:
     """Stationary scalar state norm * f(r) * Y_lm(theta, phi) * e^{i sigma omega t}."""
 
-    sigma: int
-    omega: float
-    l: int
+    sigma: ClassVar[int] = 1  # the sign convention, not a field
     m: int
     radial: RadialMode
     norm: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
-        if self.sigma not in (-1, 1):
-            raise ValueError(f"sigma must be +-1, got {self.sigma}")
         if abs(self.m) > self.l:
             raise ValueError(f"|m|={abs(self.m)} exceeds l={self.l}")
+
+    @property
+    def l(self) -> int:
+        return self.radial.l
+
+    @property
+    def omega(self) -> float:
+        return self.radial.omega
 
     def spatial(self, grid: BallGrid) -> np.ndarray:
         """Time-independent part sampled on the grid, shape (n_r, n_theta, n_phi)."""
@@ -105,8 +112,7 @@ def external_potential(charge: ExternalCharge, grid: BallGrid) -> np.ndarray:
 
 def well_state(l: int, m: int, grid: BallGrid, mass: float) -> KGState:
     """Unnormalized lowest well state with angular indices (l, m), sigma = +1."""
-    mode = solve_well_mode(l, grid.R, mass)
-    return KGState(sigma=1, omega=mode.omega, l=l, m=m, radial=mode)
+    return KGState(m=m, radial=solve_well_mode(l, grid.R, mass))
 
 
 def normalize_kg_state(state: KGState, grid: BallGrid) -> KGState:
@@ -181,6 +187,11 @@ class ExperimentConfig:
                 "grid sizes (n_panels, order, n_theta, n_phi) must be >= 1, "
                 f"got {sizes}"
             )
+        if max(sizes) > MAX_GRID_SIZE or 4 * math.prod(sizes[:3]) > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid sizes must be <= {MAX_GRID_SIZE} and the fine grid's "
+                f"4*n_panels*order*n_theta nodes <= {MAX_GRID_POINTS}, got {sizes}"
+            )
 
 
 @dataclass(frozen=True)
@@ -242,7 +253,7 @@ def _sweep_on_grid(
     overlap = state0.spatial(grid)
     np.multiply(np.conj(overlap, out=overlap), state1.spatial(grid), out=overlap)
     # the zero-potential density at t = 0 is the (omega0 + omega1)-weighted overlap
-    omega_sum = state0.sigma * state0.omega + state1.sigma * state1.omega
+    omega_sum = state0.omega + state1.omega
     i01 = -omega_sum * integrate_ball(overlap, grid)
     values = []
     for d in config.d_values:
@@ -284,7 +295,7 @@ def run_orthogonality_experiment(config: ExperimentConfig) -> ExperimentReport:
         "n_phi_effective": 1,
         "d_values": list(config.d_values),
         "t": 0.0,
-        "sigma": 1,
+        "sigma": KGState.sigma,
         "model": "quasi-static snapshots of the approaching charge, A=0",
     }
     return ExperimentReport(

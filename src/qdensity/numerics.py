@@ -31,10 +31,7 @@ __all__ = [
 
 def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1], exact for polynomials of degree 2n-1."""
-    if n < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {n}")
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
+    return np.polynomial.legendre.leggauss(n)
 
 
 def composite_gauss_legendre(
@@ -80,8 +77,8 @@ class BallGrid:
     ) -> "BallGrid":
         if R <= 0:
             raise ValueError(f"well radius must be positive, got {R}")
-        if n_theta < 1 or n_phi < 1:
-            raise ValueError("angular grid sizes must be >= 1")
+        if n_phi < 1:
+            raise ValueError(f"azimuth grid size must be >= 1, got {n_phi}")
         r, w_r = composite_gauss_legendre(0.0, R, n_panels, order)
         cos_theta, w_theta = gauss_legendre(n_theta)
         phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
@@ -211,7 +208,6 @@ class RadialMode:
     """Lowest nodeless radial mode of the infinite spherical well."""
 
     l: int
-    R: float
     k: float
     omega: float
 
@@ -234,7 +230,7 @@ def solve_well_mode(l: int, R: float, mass: float) -> RadialMode:
     if mass < 0:
         raise ValueError(f"mass must be nonnegative, got {mass}")
     k = _FIRST_ZERO[l] / R
-    return RadialMode(l=l, R=R, k=k, omega=math.hypot(k, mass))
+    return RadialMode(l=l, k=k, omega=math.hypot(k, mass))
 
 
 # ----- continuity residual -----------------------------------------------------
@@ -244,16 +240,12 @@ def divergence_residual(
     rho: np.ndarray, j: np.ndarray, spacings: Sequence[float]
 ) -> float:
     """Max-norm of d0 rho + div j over interior points of a (t,x,y,z) stencil,
-    by :func:`divergence_residual_of_slices` on the stencil's time slices."""
+    by :func:`divergence_residual_of_slices`, which checks the spacings and sizes."""
     rho, j = np.asarray(rho), np.asarray(j)
     if rho.ndim != 4:
         raise ValueError(f"rho must be sampled on a 4D stencil, got {rho.ndim}D")
     if j.shape != (3,) + rho.shape:
         raise ValueError(f"j of shape {j.shape} does not match rho {rho.shape}")
-    if len(spacings) != 4:
-        raise ValueError("spacings must give (dt, dx, dy, dz)")
-    if any(n < 3 for n in rho.shape):
-        raise ValueError(f"stencil {rho.shape} too small for central differences")
     return divergence_residual_of_slices(zip(rho, j.swapaxes(0, 1)), spacings)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import qdensity
-from qdensity import cli, fieldops, numerics
+from qdensity import cli, fieldops, numerics, symexpr
 from qdensity.cli import CONFIG_KEYS, load_config, main, parse_args, run
 from test_fieldops import out_of_place_kg_current, same_bits, stacked_dirac_current
 from test_numerics import gradient_residual
@@ -267,9 +267,19 @@ def test_repeated_config_key_is_named(tmp_path, capsys):
         (["orthogonality"], "e = -1e-31"),
         (["orthogonality", "--d", "2"], "d = abc"),
         (["orthogonality", "--resolution", "4", "--d", "2"], "resolution = 2.5"),
+        (["orthogonality", "--resolution", "363"], None),
+        (["all", "--resolution", "363"], None),
+        (["orthogonality"], "resolution = 100000000"),
+        (["all"], "resolution = 100000000"),
     ],
 )
-def test_bad_experiment_input_is_usage_error(tmp_path, capsys, argv, config):
+def test_bad_experiment_input_is_usage_error(
+    tmp_path, capsys, monkeypatch, argv, config
+):
+    def refuse(*args, **kwargs):  # a bad value is rejected before any grid is built
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(numerics.BallGrid, "build", refuse)
     if config is not None:
         path = tmp_path / "run.cfg"
         path.write_text(config + "\n")
@@ -278,6 +288,19 @@ def test_bad_experiment_input_is_usage_error(tmp_path, capsys, argv, config):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", list(cli.SUBCOMMAND_CLAIMS))
+def test_csv_without_out_is_usage_error(monkeypatch, capsys, command):
+    # a CSV report that goes nowhere is an ignored setting; no suite may run
+    def refuse(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "_SUITES", dict.fromkeys(cli._SUITES, refuse))
+    assert run_cli([command, "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --format csv needs --out\n"
     assert captured.out == ""
 
 
@@ -357,6 +380,21 @@ def test_derive_reports_the_legendre_discrepancy(capsys):
     assert "[FAIL] scalar_hamiltonian_matches_quoted_form" in out
     assert "failing checks: scalar_hamiltonian_matches_quoted_form" in out
     assert "[PASS] scalar_hamiltonian_offset_is_potential_energy" in out
+
+
+def test_derive_and_symmetry_build_each_catalog_expression_once(monkeypatch):
+    calls = {}
+    for name in ("dirac_lagrangian", "kg_lagrangian", "kg_charge_density"):
+        def counted(build=getattr(symexpr, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return build()
+
+        monkeypatch.setattr(symexpr, name, counted)
+    cli.derive_checks()
+    assert calls == {"dirac_lagrangian": 1, "kg_lagrangian": 1, "kg_charge_density": 1}
+    calls.clear()
+    cli.symmetry_checks()
+    assert calls == {"kg_charge_density": 1}
 
 
 def test_continuity_passes(capsys):

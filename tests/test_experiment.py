@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -173,15 +173,8 @@ def test_normalization_constant_halves_for_doubled_profile(grid):
             return 2.0 * super().sample(r)
 
     base = well_state(0, 0, grid, mass=1.0)
-    doubled_mode = DoubledMode(
-        l=base.radial.l,
-        R=base.radial.R,
-        k=base.radial.k,
-        omega=base.radial.omega,
-    )
-    doubled = KGState(
-        sigma=base.sigma, omega=base.omega, l=base.l, m=base.m, radial=doubled_mode
-    )
+    doubled_mode = DoubledMode(l=base.l, k=base.radial.k, omega=base.omega)
+    doubled = KGState(m=base.m, radial=doubled_mode)
     n_base = abs(normalize_kg_state(base, grid).norm)
     n_doubled = abs(normalize_kg_state(doubled, grid).norm)
     assert n_doubled == pytest.approx(n_base / 2.0, rel=1e-12)
@@ -192,18 +185,53 @@ def test_degenerate_state_rejected(grid):
         def sample(self, r):
             return np.zeros_like(np.asarray(r, dtype=float))
 
-    dead_mode = ZeroMode(l=0, R=1.0, k=math.pi, omega=1.0)
-    dead = KGState(sigma=1, omega=1.0, l=0, m=0, radial=dead_mode)
+    dead_mode = ZeroMode(l=0, k=math.pi, omega=1.0)
+    dead = KGState(m=0, radial=dead_mode)
     with pytest.raises(ValueError):
         normalize_kg_state(dead, grid)
 
 
 def test_state_validation():
-    mode = RadialMode(l=1, R=1.0, k=1.0, omega=1.0)
+    mode = RadialMode(l=1, k=1.0, omega=1.0)
     with pytest.raises(ValueError):
-        KGState(sigma=0, omega=1.0, l=1, m=0, radial=mode)
-    with pytest.raises(ValueError):
-        KGState(sigma=1, omega=1.0, l=1, m=2, radial=mode)
+        KGState(m=2, radial=mode)
+
+
+def test_state_reads_l_and_omega_from_its_mode():
+    assert [f.name for f in fields(KGState)] == ["m", "radial", "norm"]
+    assert [f.name for f in fields(RadialMode)] == ["l", "k", "omega"]
+    mode = RadialMode(l=2, k=5.5, omega=7.25)
+    state = KGState(m=-1, radial=mode)
+    assert (state.l, state.omega) == (2, 7.25)
+    for given in ("sigma", "omega", "l"):
+        with pytest.raises(TypeError):
+            KGState(m=0, radial=mode, **{given: 1})
+
+
+def test_sign_convention_is_a_class_constant():
+    state = well_state(1, 0, BallGrid.build(1.0, 2, 2, 2, 1), mass=1.0)
+    assert KGState.sigma == 1
+    assert state.sigma == 1
+    assert replace(state, norm=2.0).sigma == 1
+    report = run_orthogonality_experiment(SMALL).to_json_dict()
+    assert report["parameters"]["sigma"] == KGState.sigma
+
+
+def test_grid_sizes_are_bounded():
+    # the largest CLI resolution, 4 * 362 * 8 * 362 = 4,193,408 fine nodes,
+    # and a fine grid of exactly MAX_GRID_POINTS are accepted
+    replace(SMALL, n_panels=362, order=8, n_theta=362, n_phi=362)
+    replace(SMALL, n_panels=512, order=8, n_theta=256, n_phi=512)
+    assert experiment.MAX_GRID_POINTS == 4 * 512 * 8 * 256
+    for sizes in (
+        dict(n_panels=363, order=8, n_theta=363, n_phi=363),
+        dict(n_panels=512, order=8, n_theta=257),
+        dict(order=513),
+        dict(n_phi=513),
+        dict(n_panels=100000000, n_theta=100000000, n_phi=100000000),
+    ):
+        with pytest.raises(ValueError, match=r"<= 512 .* <= 4194304"):
+            replace(SMALL, **sizes)
 
 
 # ----- inner products ----------------------------------------------------------------
@@ -229,7 +257,7 @@ def test_orthogonality_matrix_over_low_angular_momenta(grid):
             return spherical_jn(2, self.k * np.asarray(r, dtype=float))
 
     k2 = z2 / grid.R
-    j2_mode = J2Mode(l=2, R=grid.R, k=k2, omega=math.hypot(k2, 1.0))
+    j2_mode = J2Mode(l=2, k=k2, omega=math.hypot(k2, 1.0))
 
     states = []
     for l in range(3):
@@ -237,7 +265,7 @@ def test_orthogonality_matrix_over_low_angular_momenta(grid):
             if l < 2:
                 state = well_state(l, m, grid, mass=1.0)
             else:
-                state = KGState(sigma=1, omega=j2_mode.omega, l=2, m=m, radial=j2_mode)
+                state = KGState(m=m, radial=j2_mode)
             states.append(normalize_kg_state(state, grid))
     for i, a in enumerate(states):
         for j, b in enumerate(states):

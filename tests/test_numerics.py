@@ -56,10 +56,17 @@ def test_polynomial_exactness_up_to_degree(n):
 
 
 def test_invalid_order_rejected():
+    # numpy's leggauss makes the order check; the grid builder relies on it
     with pytest.raises(ValueError):
         gauss_legendre(0)
     with pytest.raises(ValueError):
+        BallGrid.build(1.0, n_theta=0)
+    with pytest.raises(ValueError):
+        BallGrid.build(1.0, order=0)
+    with pytest.raises(ValueError):
         composite_gauss_legendre(0.0, 1.0, panels=0, order=4)
+    with pytest.raises(ValueError, match="azimuth"):
+        BallGrid.build(1.0, n_phi=0)
 
 
 def test_composite_rule_covers_interval():
@@ -465,14 +472,23 @@ def test_divergence_residual_equals_gradient_form_on_any_samples(kind, spacings)
 
 
 def test_divergence_residual_validation():
+    # the adapter checks the rank and the flux shape, without which zip would
+    # drop time slices; the spacings and sizes are the slice kernel's checks
     rho = np.ones((2, 4, 4, 4))
     j = np.zeros((3, 2, 4, 4, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 3 slices"):
         divergence_residual(rho, j, (0.1, 0.1, 0.1, 0.1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match"):
         divergence_residual(np.ones((4, 4, 4, 4)), j, (0.1,) * 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="4D"):
+        divergence_residual(np.ones((4, 4, 4)), np.zeros((3, 4, 4, 4)), (0.1,) * 4)
+    with pytest.raises(ValueError, match=r"spacings must give \(dt, dx, dy, dz\)"):
         divergence_residual(np.ones((4, 4, 4, 4)), np.zeros((3, 4, 4, 4, 4)), (0.1,))
+    for spatial in ((2, 4, 4), (4, 2, 4), (4, 4, 2)):
+        with pytest.raises(ValueError, match="too small for central differences"):
+            divergence_residual(
+                np.ones((4,) + spatial), np.zeros((3, 4) + spatial), (0.1,) * 4
+            )
 
 
 def _slices(nt, shape=(4, 4, 4), j_shape=None, at=1):

@@ -380,8 +380,8 @@ def _parser() -> argparse.ArgumentParser:  # built once; parsing does not change
         p = sub.add_parser(name, help=claim, description=f"Verifies: {claim}")
         p.add_argument("--out", help="write the report to this path")
         p.add_argument(
-            "--format", choices=("json", "csv"), default="json",
-            help="report file format (default json)",
+            "--format", choices=("json", "csv"), default=None,
+            help="report file format, given only with --out (default json)",
         )
         if name in ("orthogonality", "all"):
             p.add_argument("--config", help="flat key=value parameter file")
@@ -421,7 +421,7 @@ def _write_report(args: argparse.Namespace, report: dict) -> None:
     if not args.out:
         return
     with open(args.out, "w", newline="") as fh:
-        if args.format == "json":
+        if args.format in (None, "json"):
             # no indent: only the one-shot C encoder leaves no reference cycles;
             # default=str writes the Fraction exponents as "-3/2"
             fh.write(json.dumps(report, default=str) + "\n")
@@ -454,8 +454,8 @@ _SUITES = {
 
 def run(args: argparse.Namespace) -> int:
     """Execute a parsed command; returns the process exit status."""
-    if args.format == "csv" and not args.out:
-        print("error: --format csv needs --out", file=sys.stderr)
+    if args.format is not None and not args.out:
+        print(f"error: --format {args.format} needs --out", file=sys.stderr)
         return 2
     suites = list(_SUITES) if args.command == "all" else [args.command]
 

@@ -20,7 +20,8 @@ from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
-from .numerics import BallGrid, RadialMode, solve_well_mode, spherical_harmonic, integrate_ball
+from .numerics import BallGrid, RadialMode, _ylm_theta_part, integrate_ball
+from .numerics import solve_well_mode, spherical_harmonic
 
 __all__ = [
     "KGState",
@@ -245,21 +246,50 @@ class ExperimentReport:
 def _sweep_on_grid(
     config: ExperimentConfig, grid: BallGrid, raw: Tuple[KGState, KGState]
 ) -> Tuple[complex, list, float, float]:
-    """I01, U(d) for every d, and the two norms on one grid.  The raw states
-    are normalized and their overlap made once; each d costs one potential
-    and one :func:`integrate_ball` call.  The overlap is formed in place: a
-    third grid-sized array made peak RSS vary."""
-    state0, state1 = (normalize_kg_state(state, grid) for state in raw)
-    overlap = state0.spatial(grid)
-    np.multiply(np.conj(overlap, out=overlap), state1.spatial(grid), out=overlap)
+    """I01, U(d) for every d, and the two norms on one grid; the norms
+    found here replace the raw states' unit ``norm``.
+
+    Every integrand is real and, but for the potential, a radial times a
+    polar factor (m = 0 for both states), so each raw state is sampled once
+    as f_l(r) and Y_l0(cos theta), and each norm and I01 is a product of 1D
+    sums over :meth:`BallGrid.axis_weights`.  Each d then costs five real
+    passes over (n_r, n_theta): two for |x - d z|^2, its root, the division
+    of the separable weights by it, and their sum."""
+    radial, polar, azimuth = grid.axis_weights()
+    c = grid.cos_theta
+    sin_theta = np.sqrt(1.0 - c**2)
+    f = [state.radial.sample(grid.r) for state in raw]
+    y = [_ylm_theta_part(state.l, state.m, c, sin_theta) for state in raw]
+    phi_sum = np.sum(azimuth)
+    # 2 omega * integral |phi|^2 = 1 fixes each norm (see normalize_kg_state)
+    squares = [
+        2.0 * state.omega * np.sum(radial * fi**2) * np.sum(polar * yi**2) * phi_sum
+        for state, fi, yi in zip(raw, f, y)
+    ]
+    if min(squares) == 0.0:
+        # one polar node lies on the equator, where Y10 vanishes: this grid
+        # cannot normalize the p state, so its values bound nothing
+        unbounded = complex(math.inf)
+        return unbounded, [unbounded] * len(config.d_values), math.inf, math.inf
+    norm0, norm1 = (1.0 / math.sqrt(square) for square in squares)
+    a = radial * f[0] * f[1]
+    b = polar * y[0] * y[1] * phi_sum
     # the zero-potential density at t = 0 is the (omega0 + omega1)-weighted overlap
-    omega_sum = state0.omega + state1.omega
-    i01 = -omega_sum * integrate_ball(overlap, grid)
+    i01 = -(raw[0].omega + raw[1].omega) * norm0 * norm1 * np.sum(a) * np.sum(b)
+    r = grid.r[:, None]
+    r2, rc = r**2, r * c
+    ab = a[:, None] * b
+    dist = np.empty_like(rc)
+    scale = -2.0 * config.e * config.q * norm0 * norm1
     values = []
     for d in config.d_values:
-        v = external_potential(ExternalCharge(q=config.q, d=d), grid)
-        values.append(-2.0 * config.e * integrate_ball(v * overlap, grid))
-    return i01, values, abs(state0.norm), abs(state1.norm)
+        # |x - d z| = sqrt(r^2 + d^2 - 2 d r cos(theta)); V = q / |x - d z|
+        np.multiply(rc, -2.0 * d, out=dist)
+        dist += r2 + d * d
+        np.sqrt(dist, out=dist)
+        np.divide(ab, dist, out=dist)
+        values.append(complex(scale * np.sum(dist)))
+    return complex(i01), values, norm0, norm1
 
 
 def run_orthogonality_experiment(config: ExperimentConfig) -> ExperimentReport:

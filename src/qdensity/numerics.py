@@ -52,7 +52,7 @@ class BallGrid:
     """Product quadrature grid over the solid sphere r <= R.
 
     Radial nodes come from composite Gauss-Legendre panels on (0, R) with
-    plain dr weights (the r^2 factor is applied by :func:`integrate_ball`),
+    plain dr weights (the r^2 factor is applied by :meth:`axis_weights`),
     polar nodes are Gauss-Legendre in cos(theta), and the azimuth is a
     uniform periodic grid whose trapezoid weights 2 pi / n_phi are spectrally
     accurate for periodic integrands.
@@ -93,12 +93,18 @@ class BallGrid:
     def shape(self) -> Tuple[int, int, int]:
         return len(self.r), len(self.cos_theta), len(self.phi)
 
+    def axis_weights(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The measure r^2 dr dcos(theta) dphi as one factor per axis:
+        (r^2 w_r, w_theta, w_phi).  A separable integrand needs no more."""
+        return self.w_r * self.r**2, self.w_theta, self.w_phi
+
     def volume_weights(self) -> np.ndarray:
-        """Full measure r^2 dr dcos(theta) dphi, shape (n_r, n_theta, n_phi),
-        built once per grid: every call returns the same read-only array."""
+        """Full measure, the outer product of :meth:`axis_weights`, shape
+        (n_r, n_theta, n_phi), built once per grid: every call returns the
+        same read-only array."""
         if "_weights" not in self.__dict__:
-            radial = (self.w_r * self.r**2)[:, None, None]
-            self.__dict__["_weights"] = radial * self.w_theta[:, None] * self.w_phi
+            radial, polar, azimuth = self.axis_weights()
+            self.__dict__["_weights"] = radial[:, None, None] * polar[:, None] * azimuth
             self.__dict__["_weights"].setflags(write=False)
         return self.__dict__["_weights"]
 

@@ -40,7 +40,8 @@ def test_orthogonality_distance_list_parses():
 def test_dimensions_defaults():
     args = parse_args(["dimensions"])
     assert args.command == "dimensions"
-    assert args.format == "json"
+    # None, not "json": run must tell a given --format from the default
+    assert args.format is None
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -105,10 +106,10 @@ def test_the_cached_parser_keeps_calls_independent(monkeypatch, capsys):
     third = parse_args(["derive"])
     assert len(built) == 1 + len(cli.SUBCOMMAND_CLAIMS)
     assert vars(second) == {
-        "command": "orthogonality", "out": None, "format": "json",
+        "command": "orthogonality", "out": None, "format": None,
         "config": None, "d": None, "resolution": None,
     }
-    assert vars(third) == {"command": "derive", "out": None, "format": "json"}
+    assert vars(third) == {"command": "derive", "out": None, "format": None}
 
 
 @pytest.mark.parametrize(
@@ -302,6 +303,27 @@ def test_csv_without_out_is_usage_error(monkeypatch, capsys, command):
     captured = capsys.readouterr()
     assert captured.err == "error: --format csv needs --out\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", list(cli.SUBCOMMAND_CLAIMS))
+def test_json_format_without_out_is_usage_error(monkeypatch, capsys, command):
+    # an explicit --format json that goes nowhere is as ignored as csv
+    def refuse(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "_SUITES", dict.fromkeys(cli._SUITES, refuse))
+    assert run_cli([command, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --format json needs --out\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["dimensions", "orthogonality"])
+def test_explicit_json_format_writes_the_default_report(tmp_path, command):
+    default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+    run_cli([command, "--out", str(default)])
+    run_cli([command, "--format", "json", "--out", str(explicit)])
+    assert explicit.read_bytes() == default.read_bytes()
 
 
 @pytest.mark.parametrize("text", ["d = 2,,4", "d = 2,4,", "d ="])

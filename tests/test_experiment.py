@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from qdensity import experiment
+from qdensity import experiment, numerics
 from qdensity.experiment import (
     ExperimentConfig,
     ExternalCharge,
@@ -15,7 +16,7 @@ from qdensity.experiment import (
     run_orthogonality_experiment,
     well_state,
 )
-from qdensity.numerics import BallGrid, RadialMode, integrate_ball
+from qdensity.numerics import BallGrid, RadialMode, gauss_legendre, integrate_ball
 
 # frozen from the independent high-resolution oracle below (d = 2, default
 # parameters R = m = e = q = 1); the oracle recomputes it at test time
@@ -376,10 +377,10 @@ SWEEP_DENSE_LIKE = ExperimentConfig(
 @pytest.mark.parametrize(
     "config", [SMALL, SWEEP_DENSE_LIKE], ids=["small", "sweep-dense-like"]
 )
-def test_report_equals_potential_term_and_inner_product_exactly(config):
-    # the sweep forms the overlap once per grid and integrates it against each
-    # potential; each value must still carry the bits of the one-call-per-value
-    # functions on the experiment's own grids, which take one azimuth node
+def test_report_matches_potential_term_and_inner_product_to_rounding(config):
+    # the sweep integrates separable real factors; on the experiment's own
+    # one-azimuth-node grids each value must still match the complex 3D
+    # functions to rounding, within the bounds of the full-3D test below
     report = run_orthogonality_experiment(config)
     coarse = BallGrid.build(config.R, config.n_panels, config.order, config.n_theta, 1)
     fine = BallGrid.build(
@@ -388,12 +389,15 @@ def test_report_equals_potential_term_and_inner_product_exactly(config):
     (i01_c, u_c), (i01_f, u_f) = (
         _i01_and_u_by_functions(config, g) for g in (coarse, fine)
     )
-    assert report.i01 == i01_f
-    assert report.i01_error == abs(i01_f - i01_c)
+    assert abs(report.i01 - i01_f) <= 1e-15
+    assert abs(report.i01_error - abs(i01_f - i01_c)) <= 1e-15
+    for norm, l in ((report.norm0, 0), (report.norm1, 1)):
+        oracle = abs(normalize_kg_state(well_state(l, 0, fine, config.mass), fine).norm)
+        assert abs(norm - oracle) <= 1e-14 * oracle
     assert [entry.d for entry in report.sweep] == list(config.d_values)
     for entry, uc, uf in zip(report.sweep, u_c, u_f):
-        assert entry.u == uf
-        assert entry.error == abs(uf - uc)
+        assert abs(entry.u - uf) <= 1e-14 * abs(uf)
+        assert abs(entry.error - abs(uf - uc)) <= 1e-14 * abs(uf)
 
 
 @pytest.mark.parametrize(
@@ -432,43 +436,70 @@ def test_zero_azimuth_nodes_rejected():
         replace(SMALL, n_phi=0)
 
 
-def test_state_samplings_do_not_grow_with_the_sweep(monkeypatch):
-    calls = []
-    original = KGState.spatial
+def test_each_state_is_sampled_once_per_grid(monkeypatch):
+    radial, polar = [], []
+    original_sample, original_polar = RadialMode.sample, numerics._ylm_theta_part
 
-    def counted(self, grid):
-        calls.append(grid.shape)
-        return original(self, grid)
+    def counted_sample(self, r):
+        radial.append(len(r))
+        return original_sample(self, r)
 
-    monkeypatch.setattr(KGState, "spatial", counted)
-    counts = []
+    def counted_polar(l, m, c, s):
+        polar.append(np.array(c))
+        return original_polar(l, m, c, s)
+
+    monkeypatch.setattr(RadialMode, "sample", counted_sample)
+    monkeypatch.setattr(numerics, "_ylm_theta_part", counted_polar)
+    monkeypatch.setattr(experiment, "_ylm_theta_part", counted_polar, raising=False)
+    n_r, n_theta = SMALL.n_panels * SMALL.order, SMALL.n_theta
     for n in (1, 16):
-        calls.clear()
+        radial.clear()
+        polar.clear()
         d_values = tuple(1.5 + 0.25 * k for k in range(n))
         run_orthogonality_experiment(replace(SMALL, d_values=d_values))
-        counts.append(len(calls))
-        # both grids are axisymmetric: one azimuth node whatever n_phi says
-        assert all(shape[2] == 1 for shape in calls)
-    # per grid: two unnormalized samplings to normalize, two for the overlap
-    assert counts == [8, 8]
+        # per grid: one radial and one polar sample of each of the two states
+        assert radial == [n_r, n_r, 2 * n_r, 2 * n_r]
+        # the polar factor is taken at the Gauss nodes, not at cos(arccos(c))
+        nodes = [gauss_legendre(n_theta)[0]] * 2 + [gauss_legendre(2 * n_theta)[0]] * 2
+        assert len(polar) == 4
+        assert all(np.array_equal(c, x) for c, x in zip(polar, nodes))
 
 
-def test_every_ball_sum_is_one_integrate_ball_call(monkeypatch):
-    calls = []
-    original = experiment.integrate_ball
+def test_the_sweep_calls_none_of_the_3d_functions(monkeypatch):
+    # KGState.spatial, normalize_kg_state, external_potential and
+    # integrate_ball stay as the oracle of the tests above
+    def refuse(*args):
+        raise AssertionError("the sweep sampled a 3D grid")
 
-    def counted(f, grid):
-        calls.append(grid.shape)
-        return original(f, grid)
+    monkeypatch.setattr(KGState, "spatial", refuse)
+    for name in ("normalize_kg_state", "external_potential", "integrate_ball"):
+        monkeypatch.setattr(experiment, name, refuse)
+    report = run_orthogonality_experiment(SWEEP_DENSE_LIKE)
+    assert len(report.sweep) == len(SWEEP_DENSE_LIKE.d_values)
 
-    monkeypatch.setattr(experiment, "integrate_ball", counted)
-    for n in (1, 16):
-        calls.clear()
-        d_values = tuple(1.5 + 0.25 * k for k in range(n))
-        run_orthogonality_experiment(replace(SMALL, d_values=d_values))
-        # per grid: two norms, I01 and one U per distance
-        assert len(calls) == 2 * (3 + n)
-        assert all(shape[2] == 1 for shape in calls)
+
+def test_the_sweep_allocates_no_grid_sized_complex_arrays():
+    # the fine grid has 256 x 32 nodes: 64 KiB per real array, 128 KiB per
+    # complex one; a complex overlap with its products peaks near 690 KB,
+    # the real factors near 290 KB
+    run_orthogonality_experiment(SWEEP_DENSE_LIKE)  # warm-up
+    tracemalloc.start()
+    try:
+        run_orthogonality_experiment(SWEEP_DENSE_LIKE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 450_000
+
+
+def test_a_grid_that_cannot_normalize_the_p_state_bounds_nothing():
+    # one polar node lies on the equator, where Y10 vanishes exactly, so the
+    # coarse grid cannot normalize the p state and gives no error bar
+    report = run_orthogonality_experiment(replace(SMALL, n_theta=1))
+    assert report.i01_error == math.inf
+    for entry in report.sweep:
+        assert entry.error == math.inf
+        assert math.isfinite(entry.u.real) and entry.u.real != 0.0
 
 
 def test_well_modes_are_solved_once_per_experiment(monkeypatch):

@@ -260,10 +260,10 @@ def _sweep_on_grid(
     sin_theta = np.sqrt(1.0 - c**2)
     f = [state.radial.sample(grid.r) for state in raw]
     y = [_ylm_theta_part(state.l, state.m, c, sin_theta) for state in raw]
-    phi_sum = np.sum(azimuth)
+    phi_sum = azimuth.sum()
     # 2 omega * integral |phi|^2 = 1 fixes each norm (see normalize_kg_state)
     squares = [
-        2.0 * state.omega * np.sum(radial * fi**2) * np.sum(polar * yi**2) * phi_sum
+        2.0 * state.omega * (radial * fi**2).sum() * (polar * yi**2).sum() * phi_sum
         for state, fi, yi in zip(raw, f, y)
     ]
     if min(squares) == 0.0:
@@ -275,7 +275,7 @@ def _sweep_on_grid(
     a = radial * f[0] * f[1]
     b = polar * y[0] * y[1] * phi_sum
     # the zero-potential density at t = 0 is the (omega0 + omega1)-weighted overlap
-    i01 = -(raw[0].omega + raw[1].omega) * norm0 * norm1 * np.sum(a) * np.sum(b)
+    i01 = -(raw[0].omega + raw[1].omega) * norm0 * norm1 * a.sum() * b.sum()
     r = grid.r[:, None]
     r2, rc = r**2, r * c
     ab = a[:, None] * b
@@ -288,7 +288,7 @@ def _sweep_on_grid(
         dist += r2 + d * d
         np.sqrt(dist, out=dist)
         np.divide(ab, dist, out=dist)
-        values.append(complex(scale * np.sum(dist)))
+        values.append(complex(scale * dist.sum()))
     return complex(i01), values, norm0, norm1
 
 

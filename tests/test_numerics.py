@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -41,9 +42,9 @@ def test_order_two_closed_form():
     assert value == pytest.approx(4.0 / 3.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16, 32, 64, 128, 512, 1024])
 def test_weights_sum_to_interval_length(n):
-    _nodes, weights = gauss_legendre(n)
+    _nodes, weights = _rule(n)
     assert np.sum(weights) == pytest.approx(2.0, abs=1e-14)
 
 
@@ -55,10 +56,137 @@ def test_polynomial_exactness_up_to_degree(n):
         assert np.sum(weights * nodes**k) == pytest.approx(exact, abs=1e-13)
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, 8.5, "8", None])
+def test_non_integer_order_rejected_with_its_type(n):
+    with pytest.raises(TypeError, match=f"got {type(n).__name__}$"):
+        gauss_legendre(n)
+
+
+def test_numpy_integer_order_accepted():
+    for got, want in zip(gauss_legendre(np.int64(8)), gauss_legendre(8)):
+        assert got.tobytes() == want.tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _rule(n):
+    """gauss_legendre(n), formed once per order for the tests that share it."""
+    return gauss_legendre(n)
+
+
+def _max_errors(rule, nodes, weights):
+    """Largest absolute node error and relative weight error of a double
+    rule against exact rationals for its first len(nodes) nodes."""
+    x, w = rule
+    node_error = max(abs(Fraction(float(a)) - b) for a, b in zip(x, nodes))
+    weight_error = max(abs(Fraction(float(a)) - b) / b for a, b in zip(w, weights))
+    return float(node_error), float(weight_error)
+
+
+def _mpmath_reference(n):
+    """Nodes and weights of order n to 30 digits, as exact rationals: Newton
+    on the three-term recurrence from cos(pi (i - 1/4) / (n + 1/2))."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        nodes, weights = [], []
+        for i in range(n, 0, -1):  # ascending
+            x = mpmath.cos(mpmath.pi * (i - 0.25) / (n + 0.5))
+            for _ in range(60):
+                p0, p1 = mpmath.mpf(1), x
+                for m in range(2, n + 1):
+                    p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+                dp = n * (p0 - x * p1) / (1 - x * x)
+                step = p1 / dp
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** -29:
+                    break
+            nodes.append(Fraction(mpmath.nstr(x, 30)))
+            weights.append(Fraction(mpmath.nstr(2 / ((1 - x * x) * dp * dp), 30)))
+    return nodes, weights
+
+
+# fixed point with 120 binary digits after the point, in Python integers
+_FIX = 120
+
+
+def _fixed_point_pair(x, n):
+    """P_{n-1} and P_n at fixed-point nodes (an object array of ints)."""
+    p0, p1 = np.full(len(x), 1 << _FIX, dtype=object), x
+    for m in range(2, n + 1):
+        p0, p1 = p1, ((2 * m - 1) * (x * p1 >> _FIX) - (m - 1) * p0) // m
+    return p0, p1
+
+
+def _extended_reference(n):
+    """The lower half of the nodes and weights of order n, as exact rationals:
+    scipy's nodes, which are within a few 1e-16 but whose weights are off by
+    up to 2e-9 at order 1,024, polished by two Newton steps in 120-bit fixed
+    point, so that both are good to about 1e-30."""
+    roots_legendre = pytest.importorskip("scipy.special").roots_legendre
+    one = 1 << _FIX
+    x = np.array(
+        [int(Fraction(v) * one) for v in roots_legendre(n)[0][: (n + 1) // 2]],
+        dtype=object,
+    )
+    for newton in (True, True, False):
+        p0, p1 = _fixed_point_pair(x, n)
+        one_minus_x2 = one - (x * x >> _FIX)
+        dp = (n * (p0 - (x * p1 >> _FIX)) << _FIX) // one_minus_x2
+        if newton:
+            x = x - (p1 << _FIX) // dp
+    nodes = [Fraction(int(v), one) for v in x]
+    weights = [
+        Fraction(2 * one**3, int(s) * int(d) ** 2) for s, d in zip(one_minus_x2, dp)
+    ]
+    return nodes, weights
+
+
+def _assert_matches_reference(n, nodes, weights):
+    """Nodes within 1e-16 and weights no less accurate than numpy's leggauss,
+    which calibrates the bound, or within 1e-15 relative."""
+    node_error, weight_error = _max_errors(_rule(n), nodes, weights)
+    _, leggauss_error = _max_errors(np.polynomial.legendre.leggauss(n), nodes, weights)
+    assert node_error <= 1e-16
+    assert weight_error <= max(leggauss_error, 1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 16, 21, 32, 64])
+def test_rule_matches_mpmath_reference(n):
+    _assert_matches_reference(n, *_mpmath_reference(n))
+
+
+@pytest.mark.parametrize("n", [128, 512, 1024])
+def test_high_order_rule_matches_extended_precision_reference(n):
+    _assert_matches_reference(n, *_extended_reference(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 15, 16, 32, 33, 128, 512, 1024])
+def test_rule_is_exactly_symmetric_and_ascending(n):
+    nodes, weights = _rule(n)
+    assert nodes.shape == weights.shape == (n,)
+    assert nodes.dtype == weights.dtype == np.float64
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(weights, weights[::-1])
+    assert np.all(np.diff(nodes) > 0.0)
+    assert np.all((-1.0 < nodes) & (nodes < 1.0)) and np.all(weights > 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 16, 31, 64])
+def test_legendre_polynomials_are_orthogonal_under_the_rule(n):
+    # sum w P_i P_j = 2/(2i+1) delta_ij whenever P_i P_j has degree <= 2n - 1
+    nodes, weights = _rule(n)
+    vander = np.polynomial.legendre.legvander(nodes, 2 * n - 1)
+    gram = (vander.T * weights) @ vander
+    i, j = np.indices(gram.shape)
+    exact = np.where(i == j, 2.0 / (2 * i + 1), 0.0)
+    assert np.abs(gram - exact)[i + j <= 2 * n - 1].max() <= 1e-14
+
+
 def test_invalid_order_rejected():
-    # numpy's leggauss makes the order check; the grid builder relies on it
-    with pytest.raises(ValueError):
+    # gauss_legendre makes the order check; the grid builder relies on it
+    with pytest.raises(ValueError, match="order must be >= 1, got 0"):
         gauss_legendre(0)
+    with pytest.raises(ValueError, match="got -3"):
+        gauss_legendre(-3)
     with pytest.raises(ValueError):
         BallGrid.build(1.0, n_theta=0)
     with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import functools
 import math
 from fractions import Fraction
 
@@ -44,7 +43,7 @@ def test_order_two_closed_form():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16, 32, 64, 128, 512, 1024])
 def test_weights_sum_to_interval_length(n):
-    _nodes, weights = _rule(n)
+    _nodes, weights = gauss_legendre(n)
     assert np.sum(weights) == pytest.approx(2.0, abs=1e-14)
 
 
@@ -65,12 +64,6 @@ def test_non_integer_order_rejected_with_its_type(n):
 def test_numpy_integer_order_accepted():
     for got, want in zip(gauss_legendre(np.int64(8)), gauss_legendre(8)):
         assert got.tobytes() == want.tobytes()
-
-
-@functools.lru_cache(maxsize=None)
-def _rule(n):
-    """gauss_legendre(n), formed once per order for the tests that share it."""
-    return gauss_legendre(n)
 
 
 def _max_errors(rule, nodes, weights):
@@ -143,7 +136,7 @@ def _extended_reference(n):
 def _assert_matches_reference(n, nodes, weights):
     """Nodes within 1e-16 and weights no less accurate than numpy's leggauss,
     which calibrates the bound, or within 1e-15 relative."""
-    node_error, weight_error = _max_errors(_rule(n), nodes, weights)
+    node_error, weight_error = _max_errors(gauss_legendre(n), nodes, weights)
     _, leggauss_error = _max_errors(np.polynomial.legendre.leggauss(n), nodes, weights)
     assert node_error <= 1e-16
     assert weight_error <= max(leggauss_error, 1e-15)
@@ -161,7 +154,7 @@ def test_high_order_rule_matches_extended_precision_reference(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 15, 16, 32, 33, 128, 512, 1024])
 def test_rule_is_exactly_symmetric_and_ascending(n):
-    nodes, weights = _rule(n)
+    nodes, weights = gauss_legendre(n)
     assert nodes.shape == weights.shape == (n,)
     assert nodes.dtype == weights.dtype == np.float64
     assert np.array_equal(nodes, -nodes[::-1])
@@ -173,7 +166,7 @@ def test_rule_is_exactly_symmetric_and_ascending(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 16, 31, 64])
 def test_legendre_polynomials_are_orthogonal_under_the_rule(n):
     # sum w P_i P_j = 2/(2i+1) delta_ij whenever P_i P_j has degree <= 2n - 1
-    nodes, weights = _rule(n)
+    nodes, weights = gauss_legendre(n)
     vander = np.polynomial.legendre.legvander(nodes, 2 * n - 1)
     gram = (vander.T * weights) @ vander
     i, j = np.indices(gram.shape)

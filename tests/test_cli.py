@@ -165,8 +165,8 @@ def test_module_entry_point_runs_without_runpy_warning():
 
 
 def test_all_imports_no_test_only_dependency():
-    # scipy, sympy and hypothesis serve the tests alone; a fresh interpreter
-    # that runs `qdensity all` in process must not have loaded any of them
+    # scipy, sympy, mpmath and hypothesis serve the tests alone; a fresh
+    # interpreter that runs `qdensity all` in process must not have loaded any
     src = str(Path(qdensity.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
@@ -174,7 +174,8 @@ def test_all_imports_no_test_only_dependency():
         "from qdensity import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    status = cli.run(cli.parse_args(['all']))\n"
-        "print(status, sorted({'scipy', 'sympy', 'hypothesis'} & set(sys.modules)))\n"
+        "test_only = {'scipy', 'sympy', 'mpmath', 'hypothesis'}\n"
+        "print(status, sorted(test_only & set(sys.modules)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],

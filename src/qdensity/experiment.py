@@ -15,7 +15,8 @@ snapshots over d, with the vector potential of the motion neglected.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+import numbers
+from dataclasses import asdict, dataclass, fields, replace
 from typing import ClassVar, Optional, Tuple
 
 import numpy as np
@@ -183,6 +184,9 @@ class ExperimentConfig:
                 f"sweep distances must be distinct, got d={list(self.d_values)}"
             )
         sizes = (self.n_panels, self.order, self.n_theta, self.n_phi)
+        for name, size in zip(("n_panels", "order", "n_theta", "n_phi"), sizes):
+            if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {type(size).__name__}")
         if min(sizes) < 1:
             raise ValueError(
                 "grid sizes (n_panels, order, n_theta, n_phi) must be >= 1, "
@@ -219,28 +223,21 @@ class ExperimentReport:
     u_monotone_decreasing_in_d: Optional[bool]
 
     def to_json_dict(self) -> dict:
-        return {
-            "parameters": dict(self.parameters),
-            "sign_convention": self.sign_convention,
-            "omega0": self.omega0,
-            "omega1": self.omega1,
-            "norm0": self.norm0,
-            "norm1": self.norm1,
-            "i01": {"re": self.i01.real, "im": self.i01.imag},
-            "i01_error": self.i01_error,
-            "sweep": [
-                {
-                    "d": entry.d,
-                    "u_re": entry.u.real,
-                    "u_im": entry.u.imag,
-                    "u_raw_re": entry.u_raw.real,
-                    "u_raw_im": entry.u_raw.imag,
-                    "error": entry.error,
-                }
-                for entry in self.sweep
-            ],
-            "u_monotone_decreasing_in_d": self.u_monotone_decreasing_in_d,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["parameters"] = dict(self.parameters)
+        out["i01"] = {"re": self.i01.real, "im": self.i01.imag}
+        out["sweep"] = [
+            {
+                "d": entry.d,
+                "u_re": entry.u.real,
+                "u_im": entry.u.imag,
+                "u_raw_re": entry.u_raw.real,
+                "u_raw_im": entry.u_raw.imag,
+                "error": entry.error,
+            }
+            for entry in self.sweep
+        ]
+        return out
 
 
 def _sweep_on_grid(

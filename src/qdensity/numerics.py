@@ -30,7 +30,6 @@ __all__ = [
     "RadialMode",
     "solve_well_mode",
     "integrate_ball",
-    "divergence_residual",
     "divergence_residual_of_slices",
 ]
 
@@ -138,13 +137,9 @@ class BallGrid:
 
     def volume_weights(self) -> np.ndarray:
         """Full measure, the outer product of :meth:`axis_weights`, shape
-        (n_r, n_theta, n_phi), built once per grid: every call returns the
-        same read-only array."""
-        if "_weights" not in self.__dict__:
-            radial, polar, azimuth = self.axis_weights()
-            self.__dict__["_weights"] = radial[:, None, None] * polar[:, None] * azimuth
-            self.__dict__["_weights"].setflags(write=False)
-        return self.__dict__["_weights"]
+        (n_r, n_theta, n_phi)."""
+        radial, polar, azimuth = self.axis_weights()
+        return radial[:, None, None] * polar[:, None] * azimuth
 
 
 def integrate_ball(f: np.ndarray, grid: BallGrid) -> complex:
@@ -152,7 +147,7 @@ def integrate_ball(f: np.ndarray, grid: BallGrid) -> complex:
 
     ``f`` must be broadcastable to the grid shape (n_r, n_theta, n_phi),
     which admits axisymmetric integrands sampled as (n_r, n_theta, 1).
-    The weights are :meth:`BallGrid.volume_weights`, built once per grid.
+    The weights are :meth:`BallGrid.volume_weights`.
     """
     f = np.asarray(f)
     try:
@@ -278,19 +273,6 @@ def solve_well_mode(l: int, R: float, mass: float) -> RadialMode:
 
 
 # ----- continuity residual -----------------------------------------------------
-
-
-def divergence_residual(
-    rho: np.ndarray, j: np.ndarray, spacings: Sequence[float]
-) -> float:
-    """Max-norm of d0 rho + div j over interior points of a (t,x,y,z) stencil,
-    by :func:`divergence_residual_of_slices`, which checks the spacings and sizes."""
-    rho, j = np.asarray(rho), np.asarray(j)
-    if rho.ndim != 4:
-        raise ValueError(f"rho must be sampled on a 4D stencil, got {rho.ndim}D")
-    if j.shape != (3,) + rho.shape:
-        raise ValueError(f"j of shape {j.shape} does not match rho {rho.shape}")
-    return divergence_residual_of_slices(zip(rho, j.swapaxes(0, 1)), spacings)
 
 
 def _inexact(f) -> np.ndarray:

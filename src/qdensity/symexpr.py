@@ -34,6 +34,9 @@ POTENTIAL_SYMBOLS = frozenset({"V", "A1", "A2", "A3"})
 CONSTANT_SYMBOLS = frozenset(
     {"e", "m", "omega", "gamma0", "gamma1", "gamma2", "gamma3"}
 )
+_SYMBOLS = FIELD_SYMBOLS | POTENTIAL_SYMBOLS | CONSTANT_SYMBOLS
+
+
 class UnsupportedStructureError(ValueError):
     """The expression violates a structural precondition of an operation."""
 
@@ -99,16 +102,6 @@ ONE = ExactComplex(1, 0)
 I = ExactComplex(0, 1)
 
 
-def _symbol_kind(name: str) -> str:
-    if name in FIELD_SYMBOLS:
-        return "field"
-    if name in POTENTIAL_SYMBOLS:
-        return "potential"
-    if name in CONSTANT_SYMBOLS:
-        return "constant"
-    raise ValueError(f"unknown symbol {name!r}")
-
-
 class FieldExpr:
     """Canonical sum of monomials over field, potential and constant symbols.
 
@@ -125,17 +118,14 @@ class FieldExpr:
     # ----- construction helpers ------------------------------------------
 
     @staticmethod
-    def zero() -> "FieldExpr":
-        return FieldExpr()
-
-    @staticmethod
     def scalar(value: ScalarLike) -> "FieldExpr":
         return FieldExpr({(): ExactComplex.of(value)})
 
     @staticmethod
     def atom(name: str, derivs: Sequence[int] = ()) -> "FieldExpr":
-        kind = _symbol_kind(name)
-        if derivs and kind == "constant":
+        if name not in _SYMBOLS:
+            raise ValueError(f"unknown symbol {name!r}")
+        if derivs and name in CONSTANT_SYMBOLS:
             raise ValueError(f"constant {name!r} cannot carry derivatives")
         for mu in derivs:
             if mu not in (0, 1, 2, 3):
@@ -190,9 +180,6 @@ class FieldExpr:
         return frozenset(
             name for mono in self.terms for (name, _derivs) in mono
         )
-
-    def field_symbols(self) -> frozenset[str]:
-        return frozenset(s for s in self.symbols() if s in FIELD_SYMBOLS)
 
     def max_field_derivative_order(self) -> int:
         order = 0
@@ -277,7 +264,9 @@ def total_derivative(expr: FieldExpr, mu: int) -> FieldExpr:
         for mono, coeff in expr.terms.items():
             for fac in dict.fromkeys(mono):  # each distinct factor once
                 name, derivs = fac
-                if _symbol_kind(name) == "constant":
+                if name not in _SYMBOLS:
+                    raise ValueError(f"unknown symbol {name!r}")
+                if name in CONSTANT_SYMBOLS:
                     continue
                 bumped: Factor = (name, tuple(sorted(derivs + (mu,))))
                 new_mono = tuple(sorted(_without(mono, fac) + (bumped,)))
@@ -298,7 +287,7 @@ def euler_lagrange(lagrangian: FieldExpr, vary: str) -> FieldExpr:
         raise UnsupportedStructureError(
             "Lagrangian density must contain first field derivatives only"
         )
-    result = FieldExpr.zero()
+    result = FieldExpr()
     for mu in range(4):
         momentum = partial_derivative(lagrangian, (vary, (mu,)))
         result = result + total_derivative(momentum, mu)
@@ -372,8 +361,7 @@ def classify_time_symmetry(expr: FieldExpr) -> TermSymmetry:
 
 def substitute_real(expr: FieldExpr, charge_to_zero: bool = False) -> FieldExpr:
     """Impose a real scalar field: phi_star -> phi, optionally also e -> 0."""
-    involved = expr.field_symbols()
-    if not involved <= {"phi", "phi_star"}:
+    if not (expr.symbols() & FIELD_SYMBOLS) <= {"phi", "phi_star"}:
         raise UnsupportedStructureError(
             "real substitution applies to the scalar pair only"
         )
@@ -420,7 +408,7 @@ def dirac_lagrangian() -> FieldExpr:
     """psibar [gamma^mu (i d_mu - e A_mu) - m] psi with symbolic gamma tags."""
     psi, psibar = field("psi"), field("psibar")
     e, m = constant("e"), constant("m")
-    expr = FieldExpr.zero()
+    expr = FieldExpr()
     for mu in range(4):
         gamma = constant(f"gamma{mu}")
         expr = expr + I * gamma * psibar * D("psi", mu)
@@ -439,7 +427,7 @@ def dirac_field_equation() -> FieldExpr:
     """
     psi = field("psi")
     e, m = constant("e"), constant("m")
-    expr = FieldExpr.zero()
+    expr = FieldExpr()
     for mu in range(4):
         expr = expr - I * constant(f"gamma{mu}") * D("psi", mu)
     expr = expr + e * potential("V") * constant("gamma0") * psi

@@ -235,6 +235,31 @@ def test_grid_sizes_are_bounded():
             replace(SMALL, **sizes)
 
 
+GRID_SIZES = ["n_panels", "order", "n_theta", "n_phi"]
+
+
+@pytest.mark.parametrize("name", GRID_SIZES)
+@pytest.mark.parametrize("value", [16.0, True, "8"], ids=repr)
+def test_grid_sizes_must_be_integers(name, value, monkeypatch):
+    # refused by the constructor, before the experiment could build a grid
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(BallGrid, "build", no_grid)
+    kind = type(value).__name__
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer, got {kind}$"):
+        run_orthogonality_experiment(replace(SMALL, **{name: value}))
+
+
+@pytest.mark.parametrize("name", GRID_SIZES)
+def test_numpy_integer_grid_sizes_are_accepted(name):
+    config = replace(SMALL, **{name: np.int64(getattr(SMALL, name))})
+    assert (
+        run_orthogonality_experiment(config).to_json_dict()
+        == run_orthogonality_experiment(SMALL).to_json_dict()
+    )
+
+
 # ----- inner products ----------------------------------------------------------------
 
 
@@ -549,3 +574,18 @@ def test_report_serialization_round_trip_and_determinism():
     assert {"d", "u_re", "u_im", "u_raw_re", "u_raw_im", "error"} <= set(
         payload["sweep"][0]
     )
+
+
+def test_report_keys_are_its_fields_in_order():
+    payload = run_orthogonality_experiment(SMALL).to_json_dict()
+    assert list(payload) == [f.name for f in fields(experiment.ExperimentReport)]
+
+
+def test_report_dict_holds_a_copy_of_the_parameters():
+    report = run_orthogonality_experiment(SMALL)
+    before = dict(report.parameters)
+    payload = report.to_json_dict()
+    payload["parameters"]["R"] = -1.0
+    payload["parameters"]["extra"] = True
+    assert report.parameters == before
+    assert report.to_json_dict()["parameters"] == before

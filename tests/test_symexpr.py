@@ -206,6 +206,31 @@ def test_total_derivative_product_rule():
     )
 
 
+def test_the_empty_expression_is_zero():
+    assert FieldExpr().is_zero
+    assert FieldExpr().terms == {}
+    assert FieldExpr() == field("phi") - field("phi")
+    assert FieldExpr() + field("phi") == field("phi")
+
+
+def test_symbols_outside_the_three_classes_are_refused():
+    with pytest.raises(ValueError, match="unknown symbol 'chi'"):
+        FieldExpr.atom("chi")
+    with pytest.raises(ValueError, match="unknown symbol 'chi'"):
+        D("chi", 0)
+    # a hand-built monomial bypasses atom; differentiating it still refuses
+    rogue = FieldExpr({(("chi", ()), ("phi", ())): ONE})
+    with pytest.raises(ValueError, match="unknown symbol 'chi'"):
+        total_derivative(rogue, 1)
+
+
+@pytest.mark.parametrize("name", ["e", "m", "omega", "gamma0", "gamma3"])
+def test_constants_carry_no_derivatives(name):
+    with pytest.raises(ValueError, match=f"constant {name!r} cannot carry derivatives"):
+        D(name, 0)
+    assert FieldExpr.atom(name) == constant(name)
+
+
 def test_partial_derivative_counts_multiplicity():
     expr = field("phi") * field("phi") * constant("e")
     assert partial_derivative(expr, ("phi", ())) == 2 * constant("e") * field("phi")
@@ -270,11 +295,11 @@ def test_euler_lagrange_is_linear():
     for _ in range(20):
         l1 = sum(
             (Fraction(rng.randint(-3, 3)) * term for term in pool),
-            FieldExpr.zero(),
+            FieldExpr(),
         )
         l2 = sum(
             (Fraction(rng.randint(-3, 3)) * term for term in pool),
-            FieldExpr.zero(),
+            FieldExpr(),
         )
         a, b = Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))
         lhs = euler_lagrange(a * l1 + b * l2, "phi")
@@ -495,7 +520,7 @@ def test_classification_invariant_under_canonicalization():
     # insertion order but not the canonical form or the classification
     for expr in (kg_hamiltonian_density(), kg_charge_density()):
         pieces = [FieldExpr({mono: c}) for mono, c in expr.terms.items()]
-        rebuilt = sum(reversed(pieces), FieldExpr.zero())
+        rebuilt = sum(reversed(pieces), FieldExpr())
         assert list(rebuilt.terms) != list(expr.terms)
         assert rebuilt == expr
         assert classify_time_symmetry(rebuilt) is classify_time_symmetry(expr)
@@ -546,6 +571,6 @@ def test_golden_canonical_forms(name, builder):
 
 
 def test_canonical_text_deterministic_and_zero():
-    assert canonical_text(FieldExpr.zero()) == "0"
+    assert canonical_text(FieldExpr()) == "0"
     a = kg_charge_density()
     assert canonical_text(a) == canonical_text(kg_charge_density())

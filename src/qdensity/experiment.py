@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import asdict, dataclass, fields, replace
 from typing import ClassVar, Optional, Tuple
 
@@ -183,10 +184,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"sweep distances must be distinct, got d={list(self.d_values)}"
             )
-        sizes = (self.n_panels, self.order, self.n_theta, self.n_phi)
-        for name, size in zip(("n_panels", "order", "n_theta", "n_phi"), sizes):
+        names = ("n_panels", "order", "n_theta", "n_phi")
+        for name in names:
+            size = getattr(self, name)
             if isinstance(size, bool) or not isinstance(size, numbers.Integral):
                 raise TypeError(f"{name} must be an integer, got {type(size).__name__}")
+            # a numpy integer would reach the JSON report as a string
+            object.__setattr__(self, name, operator.index(size))
+        sizes = tuple(getattr(self, name) for name in names)
         if min(sizes) < 1:
             raise ValueError(
                 "grid sizes (n_panels, order, n_theta, n_phi) must be >= 1, "

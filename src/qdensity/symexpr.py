@@ -2,16 +2,22 @@
 
 Expressions are kept permanently in canonical form: a sum of monomials,
 each monomial a sorted tuple of factors with an exact nonzero
-complex-rational coefficient.  Canonical form is established in
-``_collect`` alone.  A factor is a symbol (field, potential or constant)
-together with the sorted multi-index of partial derivatives applied to it, so
-``d0(phi)`` and ``d00(phi)`` are distinct atoms.  This is just enough
-structure to differentiate Lagrangians, form Euler-Lagrange equations and
-Legendre transforms, classify the highest time-derivative terms, and decide
-equality structurally.  No general computer algebra is attempted.
+complex-rational coefficient.  ``_collect`` establishes it for every sum,
+product, derivative and renaming, the only operations whose coefficients
+can cancel to zero, and for the public ``FieldExpr(terms)`` constructor.
+Negation and scaling by a nonzero exact scalar build their results
+directly: they keep every monomial and cannot make a coefficient zero, so
+they need no collection.  A factor is a symbol (field, potential or
+constant) together with the sorted multi-index of partial derivatives
+applied to it, so ``d0(phi)`` and ``d00(phi)`` are distinct atoms.  This
+is just enough structure to differentiate Lagrangians, form Euler-Lagrange
+equations and Legendre transforms, classify the highest time-derivative
+terms, and decide equality structurally.  No general computer algebra is
+attempted.
 
 Coefficient parts are ``int`` where integral, as every catalog coefficient
-is, and ``Fraction`` otherwise: ``int`` arithmetic is far cheaper, the two
+is, and ``Fraction`` otherwise; ``ExactComplex`` stores an integral
+``Fraction`` as its ``int``.  ``int`` arithmetic is far cheaper, the two
 mix exactly, and ``2 == Fraction(2)`` with equal hashes, so equality and
 hashing of expressions cannot tell them apart.
 
@@ -21,7 +27,6 @@ numeric realization lives in :mod:`qdensity.fieldops`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
@@ -41,12 +46,19 @@ class UnsupportedStructureError(ValueError):
     """The expression violates a structural precondition of an operation."""
 
 
-@dataclass(frozen=True)
 class ExactComplex:
-    """Complex number with exact rational parts, each an int where integral."""
+    """Complex number with exact rational parts, each an int where integral.
 
-    re: int | Fraction
-    im: int | Fraction
+    Immutable by convention, like :class:`FieldExpr`: a slotted class builds
+    at less than half the cost of a frozen dataclass, and algebra builds many.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int | Fraction, im: int | Fraction):
+        # an integral Fraction is kept as the int it equals
+        self.re = re if re.__class__ is int or re.denominator != 1 else int(re)
+        self.im = im if im.__class__ is int or im.denominator != 1 else int(im)
 
     @staticmethod
     def of(value: ScalarLike) -> "ExactComplex":
@@ -54,18 +66,30 @@ class ExactComplex:
             return value
         # a float is not the decimal it was written as, and a bool no number
         if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-            return ExactComplex(int(value) if value.denominator == 1 else value, 0)
+            return ExactComplex(value, 0)
         raise TypeError(f"{type(value).__name__} is not an exact coefficient")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ExactComplex:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"ExactComplex(re={self.re!r}, im={self.im!r})"
+
     def __add__(self, other: "ExactComplex") -> "ExactComplex":
-        if not isinstance(other, ExactComplex):
+        if other.__class__ is not ExactComplex:
             return NotImplemented
         return ExactComplex(self.re + other.re, self.im + other.im)
 
     def __mul__(self, other: object) -> "ExactComplex":
-        if isinstance(other, FieldExpr):
-            return NotImplemented  # FieldExpr.__rmul__ forms the product
-        other = ExactComplex.of(other)
+        if other.__class__ is not ExactComplex:
+            if isinstance(other, FieldExpr):
+                return NotImplemented  # FieldExpr.__rmul__ forms the product
+            other = ExactComplex.of(other)
         return ExactComplex(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -110,16 +134,16 @@ class FieldExpr:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, ExactComplex] | None = None):
-        self.terms: Dict[Monomial, ExactComplex] = {
-            mono: coeff for mono, coeff in (terms or {}).items() if not coeff.is_zero
-        }
+    def __init__(self, terms: Mapping[Monomial, ScalarLike] | None = None):
+        """Canonical form of ``terms``: factors and multi-indices sorted, equal
+        monomials summed, coefficients made exact by :meth:`ExactComplex.of`,
+        zeros dropped.  Symbol names are not checked."""
+        self.terms: Dict[Monomial, ExactComplex] = _collect(
+            (tuple(sorted((n, tuple(sorted(d))) for n, d in mono)), ExactComplex.of(c))
+            for mono, c in (terms or {}).items()
+        ).terms
 
     # ----- construction helpers ------------------------------------------
-
-    @staticmethod
-    def scalar(value: ScalarLike) -> "FieldExpr":
-        return FieldExpr({(): ExactComplex.of(value)})
 
     @staticmethod
     def atom(name: str, derivs: Sequence[int] = ()) -> "FieldExpr":
@@ -131,7 +155,7 @@ class FieldExpr:
             if mu not in (0, 1, 2, 3):
                 raise ValueError(f"derivative index {mu} out of range")
         factor: Factor = (name, tuple(sorted(derivs)))
-        return FieldExpr({(factor,): ONE})
+        return _build({(factor,): ONE})
 
     # ----- ring operations -------------------------------------------------
 
@@ -146,11 +170,15 @@ class FieldExpr:
         return self + (-other)
 
     def __neg__(self) -> "FieldExpr":
-        return FieldExpr({m: -c for m, c in self.terms.items()})
+        return _build({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: Union["FieldExpr", ScalarLike]) -> "FieldExpr":
         if not isinstance(other, FieldExpr):
-            other = FieldExpr.scalar(other)
+            k = ExactComplex.of(other)
+            if not (k.re or k.im):
+                return FieldExpr()
+            # a nonzero exact factor keeps every monomial and makes no zero
+            return _build({m: c * k for m, c in self.terms.items()})
         return _collect(
             (tuple(sorted(mono_a + mono_b)), ca * cb)
             for mono_a, ca in self.terms.items()
@@ -193,6 +221,13 @@ class FieldExpr:
         return f"FieldExpr({canonical_text(self)!r})"
 
 
+def _build(terms: Dict[Monomial, ExactComplex]) -> FieldExpr:
+    """Wrap ``terms``, already canonical, without copying or checking them."""
+    expr = object.__new__(FieldExpr)
+    expr.terms = terms
+    return expr
+
+
 def _collect(
     pairs: Iterable[Tuple[Monomial, ExactComplex]],
     start: Dict[Monomial, ExactComplex] | None = None,
@@ -200,13 +235,18 @@ def _collect(
     """Sum the coefficients of equal monomials into a canonical expression.
 
     Every monomial in ``pairs`` must already be a sorted tuple.  ``start``
-    seeds the sum and is consumed; zero coefficients are dropped at the end.
+    seeds the sum and is consumed.  A sum can cancel only here, so a monomial
+    leaves as soon as its sum is zero, and the result is built directly.
     """
     terms = {} if start is None else start
     for mono, coeff in pairs:
         acc = terms.get(mono)
-        terms[mono] = coeff if acc is None else acc + coeff
-    return FieldExpr(terms)
+        total = coeff if acc is None else acc + coeff
+        if total.re or total.im:  # is_zero, without a property call per pair
+            terms[mono] = total
+        else:
+            terms.pop(mono, None)
+    return _build(terms)
 
 
 def _without(mono: Monomial, factor: Factor) -> Monomial:
@@ -348,7 +388,7 @@ def classify_time_symmetry(expr: FieldExpr) -> TermSymmetry:
     top_weight = max(_time_weight(m) for m in expr.terms)
     if top_weight == 0:
         return TermSymmetry.NO_TIME_DERIVATIVE
-    top = FieldExpr(
+    top = _build(
         {m: c for m, c in expr.terms.items() if _time_weight(m) == top_weight}
     )
     swapped = swap_fields(top, ("phi", "phi_star"))

@@ -1,3 +1,5 @@
+import argparse
+import json
 import math
 import tracemalloc
 from dataclasses import fields, replace
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from qdensity import experiment, numerics
+from qdensity.cli import _write_report
 from qdensity.experiment import (
     ExperimentConfig,
     ExternalCharge,
@@ -258,6 +261,18 @@ def test_numpy_integer_grid_sizes_are_accepted(name):
         run_orthogonality_experiment(config).to_json_dict()
         == run_orthogonality_experiment(SMALL).to_json_dict()
     )
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+@pytest.mark.parametrize("name", GRID_SIZES)
+def test_numpy_integer_grid_sizes_are_reported_as_numbers(name, kind, tmp_path):
+    config = replace(SMALL, **{name: kind(getattr(SMALL, name))})
+    assert type(getattr(config, name)) is int
+    report = run_orthogonality_experiment(config).to_json_dict()
+    assert type(report["parameters"][name]) is int
+    out = tmp_path / "report.json"
+    _write_report(argparse.Namespace(out=str(out), format=None), report)
+    assert json.loads(out.read_text())["parameters"][name] == getattr(SMALL, name)
 
 
 # ----- inner products ----------------------------------------------------------------

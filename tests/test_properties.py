@@ -1,15 +1,16 @@
 """Property tests: linearity of the ball quadrature and of the potential term U,
 the exact 1/d^2 decay of U, finite reports at the corners of the accepted
-input range, and the ring laws of FieldExpr."""
+input range, and the ring laws and canonical form of FieldExpr."""
 import functools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qdensity.cli import parse_args, run  # noqa: E402
@@ -27,6 +28,7 @@ from qdensity.symexpr import (  # noqa: E402
     ExactComplex,
     FieldExpr,
     I,
+    _collect,
     dirac_lagrangian,
     kg_charge_density,
     kg_hamiltonian_density,
@@ -145,7 +147,7 @@ small = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
 leaves = st.one_of(
     st.sampled_from(CATALOG_FACTORS).map(lambda f: FieldExpr.atom(*f)),
     st.builds(
-        lambda re, im: FieldExpr.scalar(ExactComplex.of(re) + ExactComplex.of(im) * I),
+        lambda re, im: FieldExpr({(): ExactComplex.of(re) + ExactComplex.of(im) * I}),
         small,
         small,
     ),
@@ -155,9 +157,33 @@ expressions = st.recursive(
     lambda inner: st.one_of(
         st.builds(lambda a, b: a + b, inner, inner),
         st.builds(lambda a, b: a * b, inner, inner),
+        st.builds(lambda k, a: k * a, small, inner),
+        st.builds(lambda a, k: a * k, inner, small),
+        st.builds(lambda a: -a, inner),
+        st.builds(lambda a, b: a - b, inner, inner),
     ),
     max_leaves=6,
 )
+
+
+def _assert_canonical(expr):
+    # the contract of test_canonicalization_is_idempotent, plus int parts
+    for mono, coeff in expr.terms.items():
+        assert isinstance(mono, tuple) and mono == tuple(sorted(mono))
+        assert all(derivs == tuple(sorted(derivs)) for _n, derivs in mono)
+        assert not coeff.is_zero
+        for part in (coeff.re, coeff.im):
+            assert type(part) is (int if part.denominator == 1 else Fraction)
+
+
+def _scaled_by_collection(a, k):
+    """The product as the general path forms it: k lifted, then collected."""
+    lifted = FieldExpr({(): k})
+    return _collect(
+        (tuple(sorted(mono_a + mono_b)), ca * cb)
+        for mono_a, ca in a.terms.items()
+        for mono_b, cb in lifted.terms.items()
+    )
 
 
 @settings(deadline=None)
@@ -169,3 +195,41 @@ def test_field_expr_ring_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert (a - a).is_zero
+
+
+@settings(deadline=None)
+@given(expressions, expressions)
+def test_every_result_is_canonical(a, b):
+    for expr in (a, b, a + b, a * b, a - b, -a):
+        _assert_canonical(expr)
+
+
+@settings(deadline=None)
+@given(expressions, small)
+@example(FieldExpr.atom("phi"), 0)
+@example(FieldExpr.atom("phi") + FieldExpr({(): Fraction(1, 2)}), 2)
+def test_scalar_products_equal_the_general_product(a, k):
+    expected = _scaled_by_collection(a, k)
+    for product in (k * a, a * k, ExactComplex.of(k) * a, a * ExactComplex.of(k)):
+        _assert_canonical(product)
+        assert product == expected
+    assert (k * a).is_zero == (k == 0 or a.is_zero)
+
+
+@settings(deadline=None)
+@given(small, small)
+def test_exact_complex_equality_and_hash_ignore_the_part_types(re, im):
+    exact = ExactComplex(re, im)
+    as_fractions = ExactComplex(Fraction(re), Fraction(im))
+    assert exact == as_fractions and hash(exact) == hash(as_fractions)
+    assert exact != ExactComplex(re, im + 1) and exact != ExactComplex(re + 1, im)
+
+
+def test_exact_complex_keeps_the_dataclass_repr_and_equality():
+    assert ExactComplex(2, 0) == ExactComplex(Fraction(2), 0)
+    assert hash(ExactComplex(2, 0)) == hash(ExactComplex(Fraction(2), 0))
+    assert repr(ExactComplex(2, 0)) == "ExactComplex(re=2, im=0)"
+    half = ExactComplex(Fraction(-1, 2), 3)
+    assert repr(half) == "ExactComplex(re=Fraction(-1, 2), im=3)"
+    assert ExactComplex(1, 1) != ExactComplex(1, 0)
+    assert ExactComplex(1, 0) != (1, 0)

@@ -174,6 +174,7 @@ def test_inexact_or_foreign_coefficients_are_rejected(value):
         lambda: value * I,
         lambda: field("phi") * value,
         lambda: value * field("phi"),
+        lambda: FieldExpr({(("phi", ()),): value}),
     ):
         with pytest.raises(TypeError, match=rf"\b{name}\b"):
             multiply()
@@ -211,6 +212,26 @@ def test_the_empty_expression_is_zero():
     assert FieldExpr().terms == {}
     assert FieldExpr() == field("phi") - field("phi")
     assert FieldExpr() + field("phi") == field("phi")
+
+
+def test_the_constructor_returns_canonical_form():
+    phi, phis = ("phi", ()), ("phi_star", ())
+    assert FieldExpr({(phis, phi): ONE}) == field("phi") * field("phi_star")
+    assert FieldExpr({(phis, phi): ONE}).terms == {(phi, phis): ONE}
+    assert FieldExpr({(("phi", (3, 0, 1)),): ONE}) == D("phi", 0, 1, 3)
+    # plain exact scalars are coefficients; an integral Fraction is an int
+    assert FieldExpr({(phi, phis): 2}).terms == {(phi, phis): ExactComplex(2, 0)}
+    half = FieldExpr({(phi,): Fraction(1, 2)}).terms[(phi,)]
+    assert (half.re, half.im) == (Fraction(1, 2), 0)
+    assert type(FieldExpr({(phi,): Fraction(4, 2)}).terms[(phi,)].re) is int
+    # monomials that become equal are summed, and a sum of zero leaves
+    doubled = FieldExpr({(phis, phi): 1, (phi, phis): ONE})
+    assert doubled == 2 * field("phi") * field("phi_star")
+    assert FieldExpr({(phis, phi): 1, (phi, phis): -1}).is_zero
+    assert FieldExpr({(phi,): 0, (phis,): ExactComplex(0, 0)}).terms == {}
+    assert FieldExpr({(phi,): 0, (phis, phi): I}) == I * field("phi") * field(
+        "phi_star"
+    )
 
 
 def test_symbols_outside_the_three_classes_are_refused():

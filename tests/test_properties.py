@@ -226,10 +226,7 @@ def test_exact_complex_equality_and_hash_ignore_the_part_types(re, im):
 
 
 def test_exact_complex_keeps_the_dataclass_repr_and_equality():
-    assert ExactComplex(2, 0) == ExactComplex(Fraction(2), 0)
-    assert hash(ExactComplex(2, 0)) == hash(ExactComplex(Fraction(2), 0))
     assert repr(ExactComplex(2, 0)) == "ExactComplex(re=2, im=0)"
     half = ExactComplex(Fraction(-1, 2), 3)
     assert repr(half) == "ExactComplex(re=Fraction(-1, 2), im=3)"
-    assert ExactComplex(1, 1) != ExactComplex(1, 0)
-    assert ExactComplex(1, 0) != (1, 0)
+    assert ExactComplex(1, 0) != (1, 0)  # only another ExactComplex is equal

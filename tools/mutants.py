@@ -1,7 +1,7 @@
 """Run the mutation table against Tier-1 and write MUTANTS.json.
 
 Usage:
-    python3 tools/mutants.py [--only NAME ...] [--out PATH] [--check]
+    python3 tools/mutants.py
 
 A mutant replaces one exact text, which must occur exactly once in its file,
 by a new text.  For each mutant the tool copies ``src/``, ``tests/``,
@@ -10,13 +10,12 @@ mutant there and runs Tier-1 with ``-x -q``, one mutant at a time and never
 in parallel.  A mutant is killed when Tier-1 fails; the first failing test
 is recorded.  Mutant 0 is the unmutated tree: it must pass, and its wall
 time is the recorded Tier-1 time.  Entries whose code is gone stay in the
-table as obsolete, with the reason.  ``--check`` only verifies that every
-old text occurs exactly once.  The exit status is 1 when mutant 0 fails or
-a mutant survives that is not argued equivalent.  Standard library only.
+table as obsolete, with the reason.  The exit status is 1 when mutant 0
+fails or a mutant survives that is not argued equivalent.  Standard library
+only.
 """
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import json
 import os
@@ -272,28 +271,14 @@ def run_tier1(mutant: Mutant | None) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME",
-                        help="run these mutants (mutant 0 always runs)")
-    parser.add_argument("--out", default=str(ROOT / "MUTANTS.json"))
-    parser.add_argument("--check", action="store_true",
-                        help="only check that every old text occurs once")
-    args = parser.parse_args(argv)
+def main() -> int:
     check_table()
-    if args.check:
-        print(f"{len(TABLE)} entries, every old text occurs once")
-        return 0
-    chosen = [m for m in TABLE if not args.only or m.name in args.only]
-    if args.only and len(chosen) != len(set(args.only)):
-        parser.error("unknown mutant name in --only")
-
     baseline = run_tier1(None)
     print(f"mutant 0 (unmutated): {'passed' if baseline['passed'] else 'FAILED'} "
           f"in {baseline['seconds']} s: {baseline['summary']}", flush=True)
     rows = [dict(id=0, name="unmutated", status="passed" if baseline["passed"]
                  else "failed", **baseline)]
-    for number, m in enumerate(chosen, start=1):
+    for number, m in enumerate(TABLE, start=1):
         row = dict(id=number, name=m.name, origin=m.origin, claim=m.claim)
         if m.obsolete:
             row.update(status="obsolete", reason=m.obsolete)
@@ -326,9 +311,10 @@ def main(argv=None) -> int:
         "obsolete": [r["name"] for r in rows[1:] if r["status"] == "obsolete"],
         "mutants": rows,
     }
-    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    out = ROOT / "MUTANTS.json"
+    out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"killed {killed}/{len(live)}; survived {survived or 'none'}; "
-          f"written to {args.out}")
+          f"written to {out}")
     return 0 if baseline["passed"] and not survived else 1
 
 

@@ -17,7 +17,9 @@ import pytest
 import qdensity
 from qdensity import cli, fieldops, numerics, symexpr
 from qdensity.cli import CONFIG_KEYS, load_config, main, parse_args, run
-from test_fieldops import out_of_place_kg_current, same_bits, stacked_dirac_current
+from test_fieldops import (
+    ALPHAS, PAULI, out_of_place_kg_current, same_bits, stacked_dirac_current,
+)
 from test_numerics import gradient_residual
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -539,6 +541,71 @@ def test_continuity_residuals_equal_the_gradient_form_of_the_oracle(monkeypatch)
         rho, j = assert_slices_equal_oracle(stencil, waves, grid)
         n, h, nt, dt = grid
         assert residual == gradient_residual(rho, j, (dt, h, h, h))
+
+
+def closed_form_residual(rho_ab, j_ab, dw, dk, n, h, nt, dt):
+    """Oracle: max over the interior nodes of the exact discrete residual of
+    a pair of plane waves.  The bilinear current's cross term is one plane
+    wave c e^{i(dk.x - dw t)}, which a central difference maps to the symbols
+    -i sin(dw dt)/dt and i sin(dk_k h)/h; the constant terms difference to 0."""
+    symbol = rho_ab * (-1j * math.sin(dw * dt) / dt)
+    for k in range(3):
+        symbol += j_ab[k] * (1j * math.sin(dk[k] * h) / h)
+    x = np.arange(1, n - 1) * h
+    tt, *xyz = np.meshgrid(np.arange(1, nt - 1) * dt, x, x, x, indexing="ij")
+    phase = -dw * tt + sum(dk[k] * xyz[k] for k in range(3))
+    return float(np.max(np.abs(2.0 * (np.exp(1j * phase) * symbol).real)))
+
+
+def closed_form_spinor(p, s, mass):
+    """(E, u) with ubar u = 2m, built from the test's own Pauli matrices."""
+    p = np.asarray(p, dtype=float)
+    energy = math.sqrt(float(p @ p) + mass**2)
+    chi = np.eye(2, dtype=complex)[s - 1]
+    sigma_p = sum(p[k] * PAULI[k] for k in range(3))
+    scale = math.sqrt(energy + mass)
+    return energy, np.concatenate([scale * chi, sigma_p @ chi / scale])
+
+
+def closed_form_order_rows(mass=1.0):
+    """{row: (coarse, fine)} of both order rows from the closed form alone:
+    Dirac rho_ab = u_a^dag u_b, j_ab = u_a^dag alpha u_b; KG
+    rho_ab = (w_a + w_b) N_a* N_b, j_ab = (k_a + k_b) N_a* N_b."""
+    (w_a, u_a), (w_b, u_b) = (closed_form_spinor((0.9, 0.0, 0.2), 1, mass),
+                              closed_form_spinor((-0.4, 1.1, 0.6), 2, mass))
+    dirac = (np.vdot(u_a, u_b), [np.vdot(u_a, alpha @ u_b) for alpha in ALPHAS],
+             w_b - w_a, np.array([-0.4, 1.1, 0.6]) - np.array([0.9, 0.0, 0.2]))
+    (n_a, k_a), (n_b, k_b) = ((1.0, np.array([1.2, 0.0, 0.4])),
+                              (0.5 - 0.2j, np.array([-0.3, 0.9, 1.0])))
+    w_a, w_b = (math.sqrt(float(k @ k) + mass**2) for k in (k_a, k_b))
+    cross = np.conj(n_a) * n_b
+    kg = ((w_a + w_b) * cross, (k_a + k_b) * cross, w_b - w_a, k_b - k_a)
+    return {
+        name: tuple(closed_form_residual(*terms, *grid) for grid in
+                    ((11, 0.2, 7, 0.2), (21, 0.1, 13, 0.1)))
+        for name, terms in (("dirac_superposition_order", dirac),
+                            ("kg_superposition_order", kg))
+    }
+
+
+def test_continuity_order_rows_equal_the_closed_form(monkeypatch):
+    residuals = []
+
+    def recorded_residual(slices, spacings):
+        residuals.append(original(slices, spacings))
+        return residuals[-1]
+
+    original = numerics.divergence_residual_of_slices
+    monkeypatch.setattr(numerics, "divergence_residual_of_slices", recorded_residual)
+    rows = {check.name: check for check in cli.continuity_checks()}
+    assert len(residuals) == 6
+    closed_form = closed_form_order_rows()
+    # the suite's order: two plane-wave rows, then (coarse, fine) per order row
+    for (name, expected), measured in zip(closed_form.items(),
+                                          (residuals[2:4], residuals[4:6])):
+        assert measured == pytest.approx(expected, rel=1e-11, abs=0.0)
+        order = math.log2(expected[0] / expected[1])
+        assert rows[name].value == pytest.approx(order, rel=1e-11, abs=0.0)
 
 
 def test_continuity_peak_memory_is_a_few_slices():

@@ -14,6 +14,7 @@ errors exit nonzero via argparse.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import json
@@ -189,39 +190,40 @@ def symmetry_checks() -> List[Check]:
     ]
 
 
-def _axes(n: int, h: float, nt: int, dt: float):
+def _spatial_samples(waves, n: int, h: float):
+    """Each wave sampled once on the open 3D grid at t = 0, where its time
+    factor e^0 is exactly 1: a slice at t is this sample times e^{-i omega t}."""
     x = np.arange(n) * h
-    tt, *xyz = np.meshgrid(np.arange(nt) * dt, x, x, x, indexing="ij", sparse=True)
-    return tt, xyz
+    xyz = np.meshgrid(x, x, x, indexing="ij", sparse=True)
+    return [wave.sample(xyz, 0.0) for wave in waves]
 
 
 def _dirac_current_on_stencil(waves, n, h, nt, dt):
-    tt, xyz = _axes(n, h, nt, dt)
-    for t in np.split(tt, nt):  # (rho, j) one time slice at a time
-        psi = waves[0].sample(xyz, t)
-        for w in waves[1:]:
-            psi += w.sample(xyz, t)
+    samples = _spatial_samples(waves, n, h)
+    for t in np.arange(nt) * dt:  # (rho, j) one time slice at a time
+        psi = samples[0] * cmath.exp(-1j * waves[0].energy * t)
+        for wave, sample in zip(waves[1:], samples[1:]):
+            psi += sample * cmath.exp(-1j * wave.energy * t)
         current = fieldops.dirac_current(psi)
-        yield current.rho[0], current.j[:, 0]
+        yield current.rho, current.j
 
 
 def _kg_current_on_stencil(waves, n, h, nt, dt):
-    tt, xyz = _axes(n, h, nt, dt)
-    first, *rest = waves
-    for t in np.split(tt, nt):
-        # one sample per wave: d/dt and grad of e^{i(k.x - omega t)} are factors;
+    samples = _spatial_samples(waves, n, h)
+    for t in np.arange(nt) * dt:
+        # one product per wave: d/dt and grad of e^{i(k.x - omega t)} are factors;
         # each sum starts from the first wave's term and adds the others in place
-        phi = first.sample(xyz, t)
-        phi_t = -1j * first.omega * phi
-        grad = np.multiply.outer(1j * first.k, phi)
-        for wave in rest:
-            base = wave.sample(xyz, t)
+        phi = samples[0] * cmath.exp(-1j * waves[0].omega * t)
+        phi_t = -1j * waves[0].omega * phi
+        grad = np.multiply.outer(1j * waves[0].k, phi)
+        for wave, sample in zip(waves[1:], samples[1:]):
+            base = sample * cmath.exp(-1j * wave.omega * t)
             phi_t += -1j * wave.omega * base
             for k in range(3):
                 grad[k] += 1j * wave.k[k] * base
             phi += base
         current = fieldops.kg_current(phi, phi_t, grad_phi=grad)
-        yield current.rho[0], current.j[:, 0]
+        yield current.rho, current.j
 
 
 def _order_check(name: str, what: str, coarse: float, fine: float) -> Check:

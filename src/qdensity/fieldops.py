@@ -152,8 +152,13 @@ def dirac_current(
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.ndim < 1 or psi.shape[0] != 4:
         raise ValueError("spinor samples must have 4 components on axis 0")
-    rho = np.abs(psi)
-    rho = np.sum(np.square(rho, out=rho), axis=0)
+    # rho = sum_c Re(psi_c)^2 + Im(psi_c)^2 in place: np.abs is a hypot,
+    # whose root the square would only undo
+    rho = np.zeros(psi.shape[1:])
+    part = np.empty_like(rho)
+    for c in range(4):
+        rho += np.square(psi[c].real, out=part)
+        rho += np.square(psi[c].imag, out=part)
     # psi^dag alpha_k psi = 2 Re(up^dag sigma_k lo) on the 2-spinor blocks,
     # one product at a time: Re and Im of a sum are the sums of the parts.
     # The products stay `*`, so a single spinor's 0-d components keep
@@ -220,14 +225,6 @@ def dirac_hamiltonian_apply(
     return out
 
 
-def _real_of_i_times_difference(left, right):
-    """Re(i (left - right)), formed in place in ``left``; a scalar ``left``,
-    from 0-d samples, is rebound instead."""
-    left -= right
-    left *= 1j
-    return left.real
-
-
 def kg_current(
     phi: np.ndarray,
     phi_t: np.ndarray,
@@ -239,10 +236,12 @@ def kg_current(
     """Scalar 4-current:
 
         rho = i(phi* d0 phi - d0 phi* phi) - 2 e V phi* phi
-        j_k = i(dk phi* phi - phi* dk phi)
+            = -2 Im(phi* d0 phi) - 2 e V |phi|^2
+        j_k = i(dk phi* phi - phi* dk phi) = 2 Im(phi* dk phi)
 
-    The time derivative and the gradient (stacked over k on axis 0) are
-    supplied by the caller, analytically for the exact solutions sampled here.
+    since i(conj(z) - z) = 2 Im z: one complex product per term.  The time
+    derivative and the gradient (stacked over k on axis 0) are supplied by
+    the caller, analytically for the exact solutions sampled here.
     """
     phi = np.asarray(phi, dtype=np.complex128)
     phi_t = np.asarray(phi_t, dtype=np.complex128)
@@ -250,18 +249,13 @@ def kg_current(
         raise ValueError("phi and its time derivative must share a shape")
     grad_phi = np.asarray(grad_phi)
     phi_star = np.conj(phi)
-    # j before rho, whose complex buffer then need not outlive the flux loop
     j = np.empty((3,) + phi.shape, dtype=float)
     for k in range(3):
-        j[k] = _real_of_i_times_difference(
-            np.conj(grad_phi[k]) * phi, phi_star * grad_phi[k]
-        )
-    cross = np.conj(phi_t)
-    cross *= phi
-    rho = _real_of_i_times_difference(phi_star * phi_t, cross)
+        j[k] = 2.0 * (phi_star * grad_phi[k]).imag
+    rho = -2.0 * (phi_star * phi_t).imag
     if V is not None:
-        modulus = np.abs(phi)
-        modulus **= 2
+        modulus = np.square(phi.real)
+        modulus += np.square(phi.imag)
         modulus *= 2.0 * e * np.asarray(V)
         rho -= modulus
     return FourCurrent(rho=rho, j=j, provenance="kg", spacings=spacings)

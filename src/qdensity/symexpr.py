@@ -101,10 +101,6 @@ class ExactComplex:
     def __neg__(self) -> "ExactComplex":
         return ExactComplex(-self.re, -self.im)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)
@@ -242,7 +238,7 @@ def _collect(
     for mono, coeff in pairs:
         acc = terms.get(mono)
         total = coeff if acc is None else acc + coeff
-        if total.re or total.im:  # is_zero, without a property call per pair
+        if total.re or total.im:
             terms[mono] = total
         else:
             terms.pop(mono, None)

@@ -1,4 +1,5 @@
 import argparse
+import cmath
 import gc
 import json
 import math
@@ -18,7 +19,7 @@ import qdensity
 from qdensity import cli, fieldops, numerics, symexpr
 from qdensity.cli import CONFIG_KEYS, load_config, main, parse_args, run
 from test_fieldops import (
-    ALPHAS, PAULI, out_of_place_kg_current, same_bits, stacked_dirac_current,
+    ALPHAS, PAULI, imaginary_part_kg_current, same_bits, squared_parts_dirac_current,
 )
 from test_numerics import gradient_residual
 
@@ -429,7 +430,7 @@ def test_continuity_passes(capsys):
 
 
 @pytest.mark.parametrize("wave_class", [fieldops.KGPlaneWave, fieldops.SpinorPlaneWave])
-def test_continuity_samples_each_wave_once_per_time_slice(monkeypatch, wave_class):
+def test_continuity_samples_each_wave_once_per_stencil(monkeypatch, wave_class):
     calls = {
         name: [] for name in ("sample", "time_derivative", "gradient")
         if hasattr(wave_class, name)
@@ -447,16 +448,17 @@ def test_continuity_samples_each_wave_once_per_time_slice(monkeypatch, wave_clas
     for name in calls:
         monkeypatch.setattr(wave_class, name, counted(name))
     cli.continuity_checks()
-    # one wave on the 6-slice plane-wave stencil, two on each of the order
-    # stencils (7 and 13 slices), each sampled once per time slice
+    # one wave on the plane-wave stencil and two on each of the two order
+    # stencils, each sampled once, at t = 0, on the open 3D grid
     samples = calls.pop("sample")
-    assert len(samples) == 6 + 2 * 7 + 2 * 13
+    assert len(samples) == 1 + 2 + 2
     assert all(len(grids) == 0 for grids in calls.values())
     for t, *xyz in samples:
-        assert t.shape == (1, 1, 1, 1)
+        assert type(t) is float and t == 0.0
+        assert len(xyz) == 3
         for axis in xyz:
-            assert axis.ndim == 4
-            assert sum(n > 1 for n in axis.shape) <= 1
+            assert axis.ndim == 3
+            assert sum(n > 1 for n in axis.shape) == 1
 
 
 #: the continuity suite's order stencils, (n, h, nt, dt)
@@ -475,14 +477,27 @@ def _summed(arrays):
 
 
 def oracle_stencil_current(waves, n, h, nt, dt):
-    """(rho, j) on the whole 4D stencil, every sum and bracket out of place."""
-    tt, xyz = cli._axes(n, h, nt, dt)
-    if isinstance(waves[0], fieldops.SpinorPlaneWave):
-        return stacked_dirac_current(_summed(w.sample(xyz, tt) for w in waves))
-    return out_of_place_kg_current(
-        _summed(w.sample(xyz, tt) for w in waves),
-        _summed(w.time_derivative(xyz, tt) for w in waves),
-        _summed(w.gradient(xyz, tt) for w in waves),
+    """(rho, j) on the whole 4D stencil in the stencils' order: each wave is
+    its phase e^{-i omega t} times its sample at t = 0, and every sum and
+    bracket is out of place."""
+    x = np.arange(n) * h
+    xyz = np.meshgrid(x, x, x, indexing="ij", sparse=True)
+    times = np.arange(nt) * dt
+    spinor = isinstance(waves[0], fieldops.SpinorPlaneWave)
+    fields = []
+    for w in waves:
+        omega = w.energy if spinor else w.omega
+        phase = np.array([cmath.exp(-1j * omega * t) for t in times])
+        sample = w.sample(xyz, 0.0)
+        # sample first: numpy's complex product may round a * b and b * a apart
+        fields.append(np.stack([sample * p for p in phase], axis=-4))
+    if spinor:
+        return squared_parts_dirac_current(_summed(fields))
+    return imaginary_part_kg_current(
+        _summed(fields),
+        _summed(-1j * w.omega * f for w, f in zip(waves, fields)),
+        _summed(np.stack([1j * w.k[k] * f for k in range(3)])
+                for w, f in zip(waves, fields)),
     )
 
 

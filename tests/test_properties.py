@@ -171,7 +171,7 @@ def _assert_canonical(expr):
     for mono, coeff in expr.terms.items():
         assert isinstance(mono, tuple) and mono == tuple(sorted(mono))
         assert all(derivs == tuple(sorted(derivs)) for _n, derivs in mono)
-        assert not coeff.is_zero
+        assert coeff.re or coeff.im
         for part in (coeff.re, coeff.im):
             assert type(part) is (int if part.denominator == 1 else Fraction)
 

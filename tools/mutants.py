@@ -57,6 +57,7 @@ Z_AXIS = "dirac_hamiltonian_apply z axis (hand-run; only the einsum oracle sees 
 BESSEL = "Bessel series and tabulated zeros (hand-run)"
 KERNEL = "one sign or constant per kernel"
 SYMBOLIC = "symbolic ring (construction without a second zero filter)"
+STENCIL = "continuity in fewer passes (one sample per wave per stencil, one product per term)"
 
 TABLE = (
     # --- the continuity window -------------------------------------------------
@@ -82,12 +83,38 @@ TABLE = (
            "zip(self.rho[:-1], self.j.swapaxes(0, 1))"),
     Mutant("dirac_stencil_last_time_node_dropped", WINDOW,
            "the Dirac stencil yields every time node",
-           CLI, "for t in np.split(tt, nt):  # (rho, j) one time slice at a time",
-           "for t in np.split(tt, nt)[:-1]:"),
+           CLI, "for t in np.arange(nt) * dt:  # (rho, j) one time slice at a time",
+           "for t in (np.arange(nt) * dt)[:-1]:"),
     Mutant("window_advanced_twice", WINDOW + "; the window is now a list",
            "each slice enters the window once",
            NUM, "window = window[-2:] + [(rho_t, j_t)]",
            "window = window[-1:] + [(rho_t, j_t)] * 2"),
+    # --- one sample per wave per stencil, one product per current term --------
+    Mutant("dirac_stencil_phase_sign", STENCIL,
+           "each Dirac slice carries e^{-i E t}",
+           CLI, "psi += sample * cmath.exp(-1j * wave.energy * t)",
+           "psi += sample * cmath.exp(+1j * wave.energy * t)"),
+    Mutant("kg_stencil_phase_sign", STENCIL,
+           "each KG slice carries e^{-i omega t}",
+           CLI, "base = sample * cmath.exp(-1j * wave.omega * t)",
+           "base = sample * cmath.exp(+1j * wave.omega * t)"),
+    Mutant("spatial_sample_at_t_equals_h", STENCIL,
+           "each wave is sampled at t = 0, where its time factor is exactly 1 "
+           "(h equals dt on both order stencils)",
+           CLI, "return [wave.sample(xyz, 0.0) for wave in waves]",
+           "return [wave.sample(xyz, h) for wave in waves]"),
+    Mutant("kg_current_j_factor_sign", STENCIL,
+           "j_k = +2 Im(phi* dk phi)",
+           FOPS, "j[k] = 2.0 * (phi_star * grad_phi[k]).imag",
+           "j[k] = -2.0 * (phi_star * grad_phi[k]).imag"),
+    Mutant("kg_current_rho_sign", STENCIL,
+           "rho = -2 Im(phi* d0 phi)",
+           FOPS, "rho = -2.0 * (phi_star * phi_t).imag",
+           "rho = 2.0 * (phi_star * phi_t).imag"),
+    Mutant("dirac_rho_missing_im_of_component_3", STENCIL,
+           "rho sums Im(psi_c)^2 over all four components",
+           FOPS, "rho += np.square(psi[c].imag, out=part)",
+           "rho += np.square(psi[c].imag, out=part) * (c != 3)"),
     # --- bounds and relations of the check rows --------------------------------
     Mutant("bound_constant_potential_shift", BOUNDS,
            "constant_potential_shift holds to 1e-10",

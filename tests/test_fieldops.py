@@ -321,7 +321,8 @@ def test_kg_current_is_the_out_of_place_form_bit_for_bit(shape, scale, with_pote
         former_rho, former_j = out_of_place_kg_current(*samples, **potential)
         size = np.abs(samples[0]) * np.abs(samples[1])
         if with_potential:
-            size = size + np.abs(2.0 * 0.7 * potential["V"]) * np.abs(samples[0]) ** 2
+            coupling = 2.0 * potential["e"] * potential["V"]
+            size = size + np.abs(coupling) * np.abs(samples[0]) ** 2
         ulp = FORMER_FORM_ULPS * np.finfo(float).eps
         assert np.all(np.abs(current.rho - former_rho) <= ulp * size)
         size = np.abs(samples[0]) * np.abs(samples[2])

@@ -27,6 +27,7 @@ numeric realization lives in :mod:`qdensity.fieldops`.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
@@ -46,14 +47,17 @@ class UnsupportedStructureError(ValueError):
     """The expression violates a structural precondition of an operation."""
 
 
+@dataclass(init=False, unsafe_hash=True, slots=True)
 class ExactComplex:
     """Complex number with exact rational parts, each an int where integral.
 
-    Immutable by convention, like :class:`FieldExpr`: a slotted class builds
-    at less than half the cost of a frozen dataclass, and algebra builds many.
+    Immutable by convention, like :class:`FieldExpr`: not frozen, because a
+    frozen dataclass builds at more than twice the cost and algebra builds
+    many; ``unsafe_hash`` keeps the hash that :class:`FieldExpr` needs.
     """
 
-    __slots__ = ("re", "im")
+    re: int | Fraction
+    im: int | Fraction
 
     def __init__(self, re: int | Fraction, im: int | Fraction):
         # an integral Fraction is kept as the int it equals
@@ -68,17 +72,6 @@ class ExactComplex:
         if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
             return ExactComplex(value, 0)
         raise TypeError(f"{type(value).__name__} is not an exact coefficient")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ExactComplex:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
-    def __repr__(self) -> str:
-        return f"ExactComplex(re={self.re!r}, im={self.im!r})"
 
     def __add__(self, other: "ExactComplex") -> "ExactComplex":
         if other.__class__ is not ExactComplex:
@@ -122,19 +115,20 @@ ONE = ExactComplex(1, 0)
 I = ExactComplex(0, 1)
 
 
+@dataclass(init=False, repr=False, slots=True)
 class FieldExpr:
     """Canonical sum of monomials over field, potential and constant symbols.
 
     Treat instances as immutable values; all operations return new objects.
     """
 
-    __slots__ = ("terms",)
+    terms: Dict[Monomial, ExactComplex]
 
     def __init__(self, terms: Mapping[Monomial, ScalarLike] | None = None):
         """Canonical form of ``terms``: factors and multi-indices sorted, equal
         monomials summed, coefficients made exact by :meth:`ExactComplex.of`,
         zeros dropped.  Symbol names are not checked."""
-        self.terms: Dict[Monomial, ExactComplex] = _collect(
+        self.terms = _collect(
             (tuple(sorted((n, tuple(sorted(d))) for n, d in mono)), ExactComplex.of(c))
             for mono, c in (terms or {}).items()
         ).terms
@@ -185,11 +179,6 @@ class FieldExpr:
         return self * other
 
     # ----- comparisons ------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FieldExpr):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
@@ -379,9 +368,7 @@ def swap_fields(expr: FieldExpr, pair: Tuple[str, str]) -> FieldExpr:
 
 def classify_time_symmetry(expr: FieldExpr) -> TermSymmetry:
     """Behaviour of the highest time-derivative terms under phi <-> phi_star."""
-    if expr.is_zero:
-        return TermSymmetry.NO_TIME_DERIVATIVE
-    top_weight = max(_time_weight(m) for m in expr.terms)
+    top_weight = max((_time_weight(m) for m in expr.terms), default=0)
     if top_weight == 0:
         return TermSymmetry.NO_TIME_DERIVATIVE
     top = _build(

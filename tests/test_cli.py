@@ -513,7 +513,7 @@ def assert_slices_equal_oracle(stencil, waves, grid):
 
 
 @pytest.mark.parametrize("stencil", ORDER_STENCILS)
-def test_kg_stencil_equals_three_samplings_per_wave(stencil):
+def test_kg_stencil_equals_the_current_of_phased_samples(stencil):
     waves = [
         fieldops.KGPlaneWave.free(1.0, (1.2, 0.0, 0.4), 1.0),
         fieldops.KGPlaneWave.free(0.5 - 0.2j, (-0.3, 0.9, 1.0), 1.0),

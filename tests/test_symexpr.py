@@ -1,3 +1,4 @@
+import dataclasses
 import operator
 import random
 import re
@@ -212,6 +213,15 @@ def test_the_empty_expression_is_zero():
     assert FieldExpr().terms == {}
     assert FieldExpr() == field("phi") - field("phi")
     assert FieldExpr() + field("phi") == field("phi")
+
+
+def test_the_value_classes_are_slotted_dataclasses():
+    # their equality, and ExactComplex's hash and repr, are generated
+    assert [f.name for f in dataclasses.fields(ExactComplex)] == ["re", "im"]
+    assert [f.name for f in dataclasses.fields(FieldExpr)] == ["terms"]
+    assert not hasattr(ONE, "__dict__") and not hasattr(field("phi"), "__dict__")
+    assert field("phi") != field("phi").terms  # only another FieldExpr is equal
+    assert hash(I * field("phi")) == hash(field("phi") * ExactComplex(0, 1))
 
 
 def test_the_constructor_returns_canonical_form():
@@ -528,6 +538,10 @@ def test_classification_of_catalog_expressions():
 def test_classification_of_mixed_expression():
     lopsided = field("phi_star") * D("phi", 0) + 2 * D("phi_star", 0) * field("phi")
     assert classify_time_symmetry(lopsided) is TermSymmetry.MIXED
+
+
+def test_the_zero_expression_has_no_time_derivative():
+    assert classify_time_symmetry(FieldExpr()) is TermSymmetry.NO_TIME_DERIVATIVE
 
 
 def test_classification_only_looks_at_top_time_derivative_terms():

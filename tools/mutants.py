@@ -58,6 +58,7 @@ BESSEL = "Bessel series and tabulated zeros (hand-run)"
 KERNEL = "one sign or constant per kernel"
 SYMBOLIC = "symbolic ring (construction without a second zero filter)"
 STENCIL = "continuity in fewer passes (one sample per wave per stencil, one product per term)"
+VALUES = "value classes as dataclasses (generated equality, hash and repr)"
 
 TABLE = (
     # --- the continuity window -------------------------------------------------
@@ -224,8 +225,8 @@ TABLE = (
            ""),
     Mutant("exact_complex_eq_ignores_im", SYMBOLIC,
            "equal coefficients have equal imaginary parts",
-           SYM, "return self.re == other.re and self.im == other.im",
-           "return self.re == other.re"),
+           obsolete="ExactComplex's hand-written __eq__ was removed; dataclass "
+           "generates it now, and exact_complex_im_not_compared is its analog"),
     Mutant("constructor_does_not_sort", SYMBOLIC,
            "FieldExpr(terms) sorts factors and multi-indices",
            SYM, "(tuple(sorted((n, tuple(sorted(d))) for n, d in mono)), "
@@ -234,6 +235,23 @@ TABLE = (
     Mutant("integral_fraction_kept", SYMBOLIC,
            "coefficient parts are int where integral",
            SYM, "re.denominator != 1 else int(re)", "re.denominator != 1 else re"),
+    # --- generated value semantics and the one time-derivative test ----------
+    Mutant("exact_complex_im_not_compared",
+           VALUES + "; analog of exact_complex_eq_ignores_im",
+           "equal coefficients have equal imaginary parts",
+           SYM, "    im: int | Fraction\n",
+           "    im: int | Fraction = __import__('dataclasses').field(compare=False)\n"),
+    Mutant("exact_complex_eq_not_generated", VALUES,
+           "coefficients compare by value, not identity",
+           SYM, "@dataclass(init=False, unsafe_hash=True, slots=True)",
+           "@dataclass(init=False, eq=False, unsafe_hash=True, slots=True)"),
+    Mutant("field_expr_eq_not_generated", VALUES,
+           "expressions compare by their terms, not identity",
+           SYM, "@dataclass(init=False, repr=False, slots=True)",
+           "@dataclass(init=False, repr=False, eq=False, slots=True)"),
+    Mutant("zero_expression_has_time_weight_one", VALUES,
+           "the zero expression has no time derivative",
+           SYM, "for m in expr.terms), default=0)", "for m in expr.terms), default=1)"),
     Mutant("numpy_grid_size_kept", "ExperimentConfig grid sizes",
            "the report holds grid sizes as int",
            EXP, "            object.__setattr__(self, name, operator.index(size))\n",

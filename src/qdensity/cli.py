@@ -336,9 +336,17 @@ def _parse_d_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad distance list {text!r}") from err
 
 
+def _parse_real(text: str) -> float:
+    """``float(text)``, refused where a nonzero number would run as zero."""
+    value = float(text)
+    if value == 0.0 and Fraction(text) != 0:
+        raise ValueError(f"{text!r} is not zero but rounds to 0.0")
+    return value
+
+
 #: each config key and the parser of its value
 CONFIG_KEYS = {
-    "R": float, "mass": float, "e": float, "q": float,
+    "R": _parse_real, "mass": _parse_real, "e": _parse_real, "q": _parse_real,
     "d": _parse_d_list, "resolution": int,
 }
 

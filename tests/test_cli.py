@@ -199,6 +199,27 @@ def test_config_file_parsing(tmp_path):
     assert values == {"e": 0.0, "d": (2.0, 4.0), "resolution": 8}
 
 
+@pytest.mark.parametrize("text", ["0", "-0.0", "0e5", "0.", ".0"])
+def test_config_zero_parses_as_zero(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"e = {text}\n")
+    assert load_config(str(path)) == {"e": 0.0}
+
+
+@pytest.mark.parametrize("key", ["R", "mass", "e", "q"])
+@pytest.mark.parametrize("text", ["1e-400", "-2e-324"])
+def test_config_number_that_rounds_to_zero_is_refused(tmp_path, capsys, key, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"# a nonzero value that float() reads as 0.0\n{key} = {text}\n")
+    assert run_cli(["orthogonality", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: cannot read config: {path}:2: key {key}: "
+        f"{text!r} is not zero but rounds to 0.0\n"
+    )
+    assert captured.out == ""
+
+
 def test_readme_lists_the_config_keys():
     match = re.search(r"keys: ([^)]*)\)", README.read_text())
     assert re.findall(r"`([^`]+)`", match.group(1)) == list(CONFIG_KEYS)

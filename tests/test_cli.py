@@ -240,6 +240,16 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_undecodable_config_file_is_io_error(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xff\xfe = 1\n")
+    assert run_cli(["orthogonality", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    # a UTF-8 locale fails to decode the file, another names the key: one line
+    assert captured.err.startswith("error: cannot read config: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 def test_config_line_without_equals_is_io_error(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("e = 0\njust some words\n")

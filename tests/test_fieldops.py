@@ -363,6 +363,11 @@ def test_zero_spinor_gives_zero_current():
     assert not np.any(current.j)
 
 
+def test_dirac_current_needs_four_spinor_components():
+    with pytest.raises(ValueError, match="4 components on axis 0"):
+        dirac_current(np.zeros((3, 5)))
+
+
 def test_four_current_validation():
     with pytest.raises(ValueError):
         FourCurrent(

@@ -188,6 +188,8 @@ def test_invalid_order_rejected():
         composite_gauss_legendre(0.0, 1.0, panels=0, order=4)
     with pytest.raises(ValueError, match="azimuth"):
         BallGrid.build(1.0, n_phi=0)
+    with pytest.raises(ValueError, match="^well radius must be positive, got 0.0$"):
+        BallGrid.build(0.0)
 
 
 def test_composite_rule_covers_interval():
@@ -359,6 +361,8 @@ def test_harmonic_argument_validation():
         spherical_harmonic(3, 0, 0.0, 0.0)
     with pytest.raises(ValueError):
         spherical_harmonic(2, 3, 0.0, 0.0)
+    with pytest.raises(ValueError, match="^l and m must be integers$"):
+        spherical_harmonic(1.0, 0, 0.0, 0.0)
 
 
 # ----- spherical Bessel functions and the well ---------------------------------------

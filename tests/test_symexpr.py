@@ -224,6 +224,18 @@ def test_the_value_classes_are_slotted_dataclasses():
     assert hash(I * field("phi")) == hash(field("phi") * ExactComplex(0, 1))
 
 
+def test_a_coefficient_adds_only_another_coefficient():
+    with pytest.raises(TypeError):
+        ExactComplex(1, 0) + 1
+
+
+def test_expressions_and_coefficients_print_in_canonical_text():
+    assert repr(I * field("phi")) == "FieldExpr('i * phi')"
+    assert repr(FieldExpr()) == "FieldExpr('0')"
+    assert str(ExactComplex(0, Fraction(1, 2))) == "(1/2)i"
+    assert str(ExactComplex(0, -3)) == "-3i"
+
+
 def test_the_constructor_returns_canonical_form():
     phi, phis = ("phi", ()), ("phi_star", ())
     assert FieldExpr({(phis, phi): ONE}) == field("phi") * field("phi_star")
@@ -260,6 +272,28 @@ def test_constants_carry_no_derivatives(name):
     with pytest.raises(ValueError, match=f"constant {name!r} cannot carry derivatives"):
         D(name, 0)
     assert FieldExpr.atom(name) == constant(name)
+
+
+@pytest.mark.parametrize(
+    "shorthand, name, message",
+    [
+        (field, "V", "unknown field symbol 'V'"),
+        (potential, "phi", "unknown potential symbol 'phi'"),
+        (constant, "V", "unknown constant symbol 'V'"),
+    ],
+    ids=["field", "potential", "constant"],
+)
+def test_each_shorthand_refuses_a_symbol_of_another_kind(shorthand, name, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        shorthand(name)
+
+
+def test_a_derivative_index_outside_0_to_3_is_refused():
+    for mu in (4, -1):
+        with pytest.raises(ValueError, match=f"^derivative index {mu} out of range$"):
+            D("phi", 0, mu)
+        with pytest.raises(ValueError, match=f"^derivative index {mu} out of range$"):
+            total_derivative(field("phi"), mu)
 
 
 def test_partial_derivative_counts_multiplicity():
@@ -351,6 +385,21 @@ def test_second_derivatives_rejected():
         legendre_transform(bad, ["phi"])
     with pytest.raises(ValueError):
         euler_lagrange(kg_lagrangian(), "V")
+    with pytest.raises(ValueError, match="^cannot transform non-field symbol 'V'$"):
+        legendre_transform(kg_lagrangian(), ["V"])
+
+
+def test_only_field_derivatives_count_toward_the_first_order_guard():
+    # a second derivative of a potential is data, not a field derivative
+    lag = D("V", 0, 0) * field("phi_star") * field("phi")
+    assert euler_lagrange(lag, "phi_star") == -(D("V", 0, 0) * field("phi"))
+    assert legendre_transform(lag, ["phi", "phi_star"]) == -lag
+    bad = D("phi", 0, 0) * field("phi_star") * field("phi")
+    message = "^Lagrangian density must contain first field derivatives only$"
+    with pytest.raises(UnsupportedStructureError, match=message):
+        euler_lagrange(bad, "phi_star")
+    with pytest.raises(UnsupportedStructureError, match=message):
+        legendre_transform(bad, ["phi", "phi_star"])
 
 
 # ----- Legendre transform ---------------------------------------------------------
@@ -607,5 +656,8 @@ def test_golden_canonical_forms(name, builder):
 
 def test_canonical_text_deterministic_and_zero():
     assert canonical_text(FieldExpr()) == "0"
+    # a constant monomial prints as its bare coefficient, ahead of any factor
+    constant_term = FieldExpr({(): Fraction(1, 2), (("phi", ()),): 2})
+    assert canonical_text(constant_term) == "1/2\n2 * phi"
     a = kg_charge_density()
     assert canonical_text(a) == canonical_text(kg_charge_density())

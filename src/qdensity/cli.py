@@ -410,11 +410,12 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     return _parser().parse_args(argv)
 
 
-def _experiment_config(
-    args: argparse.Namespace, values: dict
-) -> experiment.ExperimentConfig:
-    """Flags over parsed config values; ExperimentConfig holds the defaults."""
-    given = dict(values)
+def _experiment_config(args: argparse.Namespace) -> experiment.ExperimentConfig:
+    """Flags over the config file's values; ExperimentConfig holds the defaults."""
+    try:
+        given = load_config(args.config) if args.config else {}
+    except (OSError, ValueError) as err:
+        raise ValueError(f"cannot read config: {err}") from err
     for key in ("d", "resolution"):
         if getattr(args, key) is not None:
             given[key] = getattr(args, key)
@@ -470,12 +471,7 @@ def run(args: argparse.Namespace) -> int:
 
     if "orthogonality" in suites:
         try:
-            values = load_config(args.config) if args.config else {}
-        except (OSError, ValueError) as err:
-            print(f"error: cannot read config: {err}", file=sys.stderr)
-            return 2
-        try:
-            config = _experiment_config(args, values)
+            config = _experiment_config(args)
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2

@@ -88,8 +88,7 @@ class ExactComplex:
             self.re * other.im + self.im * other.re,
         )
 
-    def __rmul__(self, other: object) -> "ExactComplex":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __neg__(self) -> "ExactComplex":
         return ExactComplex(-self.re, -self.im)
@@ -132,20 +131,6 @@ class FieldExpr:
             (tuple(sorted((n, tuple(sorted(d))) for n, d in mono)), ExactComplex.of(c))
             for mono, c in (terms or {}).items()
         ).terms
-
-    # ----- construction helpers ------------------------------------------
-
-    @staticmethod
-    def atom(name: str, derivs: Sequence[int] = ()) -> "FieldExpr":
-        if name not in _SYMBOLS:
-            raise ValueError(f"unknown symbol {name!r}")
-        if derivs and name in CONSTANT_SYMBOLS:
-            raise ValueError(f"constant {name!r} cannot carry derivatives")
-        for mu in derivs:
-            if mu not in (0, 1, 2, 3):
-                raise ValueError(f"derivative index {mu} out of range")
-        factor: Factor = (name, tuple(sorted(derivs)))
-        return _build({(factor,): ONE})
 
     # ----- ring operations -------------------------------------------------
 
@@ -194,14 +179,6 @@ class FieldExpr:
             name for mono in self.terms for (name, _derivs) in mono
         )
 
-    def max_field_derivative_order(self) -> int:
-        order = 0
-        for mono in self.terms:
-            for name, derivs in mono:
-                if name in FIELD_SYMBOLS:
-                    order = max(order, len(derivs))
-        return order
-
     def __repr__(self) -> str:
         return f"FieldExpr({canonical_text(self)!r})"
 
@@ -240,30 +217,37 @@ def _without(mono: Monomial, factor: Factor) -> Monomial:
     return mono[:at] + mono[at + 1 :]
 
 
-# ----- atom shorthands -------------------------------------------------------
+# ----- atoms -------------------------------------------------------------------
+
+
+def D(name: str, *mus: int) -> FieldExpr:
+    """Atom for ``name`` differentiated along ``mus``: the one atom builder."""
+    if name not in _SYMBOLS:
+        raise ValueError(f"unknown symbol {name!r}")
+    if mus and name in CONSTANT_SYMBOLS:
+        raise ValueError(f"constant {name!r} cannot carry derivatives")
+    for mu in mus:
+        if mu not in (0, 1, 2, 3):
+            raise ValueError(f"derivative index {mu} out of range")
+    return _build({((name, tuple(sorted(mus))),): ONE})
 
 
 def field(name: str) -> FieldExpr:
     if name not in FIELD_SYMBOLS:
         raise ValueError(f"unknown field symbol {name!r}")
-    return FieldExpr.atom(name)
+    return D(name)
 
 
 def potential(name: str) -> FieldExpr:
     if name not in POTENTIAL_SYMBOLS:
         raise ValueError(f"unknown potential symbol {name!r}")
-    return FieldExpr.atom(name)
+    return D(name)
 
 
 def constant(name: str) -> FieldExpr:
     if name not in CONSTANT_SYMBOLS:
         raise ValueError(f"unknown constant symbol {name!r}")
-    return FieldExpr.atom(name)
-
-
-def D(name: str, *mus: int) -> FieldExpr:
-    """Atom for the symbol ``name`` differentiated along the given indices."""
-    return FieldExpr.atom(name, mus)
+    return D(name)
 
 
 # ----- calculus ---------------------------------------------------------------
@@ -300,6 +284,15 @@ def total_derivative(expr: FieldExpr, mu: int) -> FieldExpr:
     return _collect(pairs())
 
 
+def _require_first_order(lagrangian: FieldExpr) -> None:
+    """Refuse a Lagrangian density with a second or higher field derivative."""
+    if any(name in FIELD_SYMBOLS and len(derivs) > 1
+           for mono in lagrangian.terms for name, derivs in mono):
+        raise UnsupportedStructureError(
+            "Lagrangian density must contain first field derivatives only"
+        )
+
+
 def euler_lagrange(lagrangian: FieldExpr, vary: str) -> FieldExpr:
     """d_mu (dL/d(psi_{,mu})) - dL/dpsi for the chosen field symbol.
 
@@ -308,10 +301,7 @@ def euler_lagrange(lagrangian: FieldExpr, vary: str) -> FieldExpr:
     """
     if vary not in FIELD_SYMBOLS:
         raise ValueError(f"cannot vary non-field symbol {vary!r}")
-    if lagrangian.max_field_derivative_order() > 1:
-        raise UnsupportedStructureError(
-            "Lagrangian density must contain first field derivatives only"
-        )
+    _require_first_order(lagrangian)
     result = FieldExpr()
     for mu in range(4):
         momentum = partial_derivative(lagrangian, (vary, (mu,)))
@@ -322,10 +312,7 @@ def euler_lagrange(lagrangian: FieldExpr, vary: str) -> FieldExpr:
 
 def legendre_transform(lagrangian: FieldExpr, fields: Sequence[str]) -> FieldExpr:
     """Hamiltonian density: sum over fields of (d0 psi) dL/d(d0 psi), minus L."""
-    if lagrangian.max_field_derivative_order() > 1:
-        raise UnsupportedStructureError(
-            "Lagrangian density must contain first field derivatives only"
-        )
+    _require_first_order(lagrangian)
     result = -lagrangian
     for name in fields:
         if name not in FIELD_SYMBOLS:

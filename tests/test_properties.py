@@ -25,6 +25,7 @@ from qdensity.experiment import (  # noqa: E402
 )
 from qdensity.numerics import BallGrid, integrate_ball  # noqa: E402
 from qdensity.symexpr import (  # noqa: E402
+    D,
     ExactComplex,
     FieldExpr,
     I,
@@ -145,7 +146,7 @@ CATALOG_FACTORS = sorted(
 )
 small = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
 leaves = st.one_of(
-    st.sampled_from(CATALOG_FACTORS).map(lambda f: FieldExpr.atom(*f)),
+    st.sampled_from(CATALOG_FACTORS).map(lambda f: D(f[0], *f[1])),
     st.builds(
         lambda re, im: FieldExpr({(): ExactComplex.of(re) + ExactComplex.of(im) * I}),
         small,
@@ -206,8 +207,8 @@ def test_every_result_is_canonical(a, b):
 
 @settings(deadline=None)
 @given(expressions, small)
-@example(FieldExpr.atom("phi"), 0)
-@example(FieldExpr.atom("phi") + FieldExpr({(): Fraction(1, 2)}), 2)
+@example(D("phi"), 0)
+@example(D("phi") + FieldExpr({(): Fraction(1, 2)}), 2)
 def test_scalar_products_equal_the_general_product(a, k):
     expected = _scaled_by_collection(a, k)
     for product in (k * a, a * k, ExactComplex.of(k) * a, a * ExactComplex.of(k)):

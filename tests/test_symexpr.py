@@ -258,10 +258,10 @@ def test_the_constructor_returns_canonical_form():
 
 def test_symbols_outside_the_three_classes_are_refused():
     with pytest.raises(ValueError, match="unknown symbol 'chi'"):
-        FieldExpr.atom("chi")
+        D("chi")
     with pytest.raises(ValueError, match="unknown symbol 'chi'"):
         D("chi", 0)
-    # a hand-built monomial bypasses atom; differentiating it still refuses
+    # a hand-built monomial bypasses D; differentiating it still refuses
     rogue = FieldExpr({(("chi", ()), ("phi", ())): ONE})
     with pytest.raises(ValueError, match="unknown symbol 'chi'"):
         total_derivative(rogue, 1)
@@ -271,7 +271,7 @@ def test_symbols_outside_the_three_classes_are_refused():
 def test_constants_carry_no_derivatives(name):
     with pytest.raises(ValueError, match=f"constant {name!r} cannot carry derivatives"):
         D(name, 0)
-    assert FieldExpr.atom(name) == constant(name)
+    assert D(name) == constant(name)
 
 
 @pytest.mark.parametrize(

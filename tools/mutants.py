@@ -59,6 +59,7 @@ KERNEL = "one sign or constant per kernel"
 SYMBOLIC = "symbolic ring (construction without a second zero filter)"
 STENCIL = "continuity in fewer passes (one sample per wave per stencil, one product per term)"
 VALUES = "value classes as dataclasses (generated equality, hash and repr)"
+ONCE = "each symbolic check said once (one atom builder, one first-order guard)"
 
 TABLE = (
     # --- the continuity window -------------------------------------------------
@@ -256,6 +257,28 @@ TABLE = (
            "the report holds grid sizes as int",
            EXP, "            object.__setattr__(self, name, operator.index(size))\n",
            ""),
+    # --- each input check in one place ----------------------------------------
+    Mutant("atom_index_4_accepted", ONCE,
+           "D refuses a derivative index outside 0..3",
+           SYM, "    for mu in mus:\n        if mu not in (0, 1, 2, 3):",
+           "    for mu in mus:\n        if mu not in (0, 1, 2, 3, 4):"),
+    Mutant("field_accepts_any_symbol", ONCE,
+           "field refuses a potential or constant name",
+           SYM, "    if name not in FIELD_SYMBOLS:\n"
+           "        raise ValueError(f\"unknown field symbol {name!r}\")",
+           "    if name not in _SYMBOLS:\n"
+           "        raise ValueError(f\"unknown field symbol {name!r}\")"),
+    Mutant("first_order_guard_counts_potential_derivatives", ONCE,
+           "only a field's second derivative makes a Lagrangian unsupported",
+           SYM, "if any(name in FIELD_SYMBOLS and len(derivs) > 1",
+           "if any(len(derivs) > 1"),
+    Mutant("first_order_guard_allows_second_order", ONCE,
+           "a second field derivative makes a Lagrangian unsupported",
+           SYM, "and len(derivs) > 1", "and len(derivs) > 2"),
+    Mutant("config_read_error_unprefixed", "one config error path",
+           "a config file that cannot be read is reported as such",
+           CLI, 'raise ValueError(f"cannot read config: {err}") from err',
+           'raise ValueError(f"{err}") from err'),
 )
 
 

@@ -275,26 +275,20 @@ def solve_well_mode(l: int, R: float, mass: float) -> RadialMode:
 # ----- continuity residual -----------------------------------------------------
 
 
-def _inexact(f) -> np.ndarray:
-    f = np.asarray(f)
-    return f if np.issubdtype(f.dtype, np.inexact) else f.astype(np.float64)
-
-
 def divergence_residual_of_slices(
     slices: Iterable[Tuple[np.ndarray, np.ndarray]], spacings: Sequence[float]
 ) -> float:
     """Max-norm of d0 rho + div j over the interior of a (t,x,y,z) stencil,
     formed one time slice (rho_t of shape (nx, ny, nz), j_t) at a time from a
     window of three, by second-order central differences: O(h^2) on smooth
-    conserved currents.  Each is the interior of ``np.gradient`` bit for bit:
-    integer samples are differenced as float64, and each term keeps its own
-    dtype until the sum promotes it."""
+    conserved currents.  Samples are read as float64, and each difference is
+    the interior of ``np.gradient`` bit for bit."""
     if len(spacings) != 4:
         raise ValueError("spacings must give (dt, dx, dy, dz)")
     inner = (slice(1, -1),) * 3
     window, peaks = [], []
     for rho_t, j_t in slices:
-        rho_t, j_t = _inexact(rho_t), np.asarray(j_t)
+        rho_t, j_t = np.asarray(rho_t, dtype=float), np.asarray(j_t, dtype=float)
         shape = window[0][0].shape if window else rho_t.shape
         if rho_t.shape != shape or j_t.shape != (3,) + shape:
             raise ValueError(f"slice {rho_t.shape}, {j_t.shape} does not match {shape}")
@@ -307,13 +301,11 @@ def divergence_residual_of_slices(
         total = after[inner] - before[inner]
         total /= 2.0 * spacings[0]
         for axis in range(3):
-            f = _inexact(flux[axis])
             upper = inner[:axis] + (slice(2, None),) + inner[axis + 1 :]
             lower = inner[:axis] + (slice(None, -2),) + inner[axis + 1 :]
-            diff = f[upper] - f[lower]
+            diff = flux[axis][upper] - flux[axis][lower]
             diff /= 2.0 * spacings[axis + 1]
-            in_place = total.dtype == np.result_type(total, diff)
-            total = np.add(total, diff, out=total if in_place else None)
+            total += diff
         peaks.append(np.max(np.abs(total)))
     if not peaks:
         raise ValueError("central differences in time need at least 3 slices")

@@ -1,8 +1,8 @@
 """Minimal expression trees for field Lagrangians and densities.
 
 Expressions are kept permanently in canonical form: a sum of monomials,
-each monomial a sorted tuple of factors with an exact nonzero
-complex-rational coefficient.  ``_collect`` establishes it for every sum,
+each monomial a sorted tuple of factors with a nonzero Gaussian-integer
+coefficient.  ``_collect`` establishes it for every sum,
 product, derivative and renaming, the only operations whose coefficients
 can cancel to zero, and for the public ``FieldExpr(terms)`` constructor.
 Negation and scaling by a nonzero exact scalar build their results
@@ -15,12 +15,6 @@ equations and Legendre transforms, classify the highest time-derivative
 terms, and decide equality structurally.  No general computer algebra is
 attempted.
 
-Coefficient parts are ``int`` where integral, as every catalog coefficient
-is, and ``Fraction`` otherwise; ``ExactComplex`` stores an integral
-``Fraction`` as its ``int``.  ``int`` arithmetic is far cheaper, the two
-mix exactly, and ``2 == Fraction(2)`` with equal hashes, so equality and
-hashing of expressions cannot tell them apart.
-
 Gamma matrices enter only as opaque constant tags ``gamma0..gamma3``; their
 numeric realization lives in :mod:`qdensity.fieldops`.
 """
@@ -28,12 +22,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 Factor = Tuple[str, Tuple[int, ...]]
 Monomial = Tuple[Factor, ...]
-ScalarLike = Union[int, Fraction, "ExactComplex"]
+ScalarLike = Union[int, "ExactComplex"]
 
 FIELD_SYMBOLS = frozenset({"phi", "phi_star", "psi", "psibar"})
 POTENTIAL_SYMBOLS = frozenset({"V", "A1", "A2", "A3"})
@@ -47,31 +40,26 @@ class UnsupportedStructureError(ValueError):
     """The expression violates a structural precondition of an operation."""
 
 
-@dataclass(init=False, unsafe_hash=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class ExactComplex:
-    """Complex number with exact rational parts, each an int where integral.
+    """Gaussian integer: the algebra never divides, so int parts suffice.
 
     Immutable by convention, like :class:`FieldExpr`: not frozen, because a
     frozen dataclass builds at more than twice the cost and algebra builds
     many; ``unsafe_hash`` keeps the hash that :class:`FieldExpr` needs.
     """
 
-    re: int | Fraction
-    im: int | Fraction
-
-    def __init__(self, re: int | Fraction, im: int | Fraction):
-        # an integral Fraction is kept as the int it equals
-        self.re = re if re.__class__ is int or re.denominator != 1 else int(re)
-        self.im = im if im.__class__ is int or im.denominator != 1 else int(im)
+    re: int
+    im: int
 
     @staticmethod
     def of(value: ScalarLike) -> "ExactComplex":
         if isinstance(value, ExactComplex):
             return value
         # a float is not the decimal it was written as, and a bool no number
-        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        if isinstance(value, int) and not isinstance(value, bool):
             return ExactComplex(value, 0)
-        raise TypeError(f"{type(value).__name__} is not an exact coefficient")
+        raise TypeError(f"{type(value).__name__} is not an integer coefficient")
 
     def __add__(self, other: "ExactComplex") -> "ExactComplex":
         if other.__class__ is not ExactComplex:
@@ -96,17 +84,11 @@ class ExactComplex:
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            if self.im.denominator == 1:
-                return f"{self.im}i"
-            return f"({self.im})i"
-        sign = "+" if self.im > 0 else "-"
         mag = abs(self.im)
         imag = "i" if mag == 1 else f"{mag}i"
+        sign = "+" if self.im > 0 else "-"
+        if self.re == 0:
+            return imag if sign == "+" else sign + imag
         return f"({self.re}{sign}{imag})"
 
 
@@ -227,9 +209,16 @@ def D(name: str, *mus: int) -> FieldExpr:
     if mus and name in CONSTANT_SYMBOLS:
         raise ValueError(f"constant {name!r} cannot carry derivatives")
     for mu in mus:
-        if mu not in (0, 1, 2, 3):
-            raise ValueError(f"derivative index {mu} out of range")
+        _require_index(mu)
     return _build({((name, tuple(sorted(mus))),): ONE})
+
+
+def _require_index(mu: int) -> None:
+    """Refuse all but an int in 0..3: an equal float or bool prints otherwise."""
+    if type(mu) is not int:
+        raise TypeError(f"derivative index must be an int, got {type(mu).__name__}")
+    if not 0 <= mu <= 3:
+        raise ValueError(f"derivative index {mu} out of range")
 
 
 def field(name: str) -> FieldExpr:
@@ -266,8 +255,7 @@ def partial_derivative(expr: FieldExpr, factor: Factor) -> FieldExpr:
 
 def total_derivative(expr: FieldExpr, mu: int) -> FieldExpr:
     """Space-time derivative d/dx^mu applied with the product rule."""
-    if mu not in (0, 1, 2, 3):
-        raise ValueError(f"derivative index {mu} out of range")
+    _require_index(mu)
 
     def pairs():
         for mono, coeff in expr.terms.items():
@@ -313,6 +301,8 @@ def euler_lagrange(lagrangian: FieldExpr, vary: str) -> FieldExpr:
 def legendre_transform(lagrangian: FieldExpr, fields: Sequence[str]) -> FieldExpr:
     """Hamiltonian density: sum over fields of (d0 psi) dL/d(d0 psi), minus L."""
     _require_first_order(lagrangian)
+    if len(set(fields)) != len(fields):
+        raise ValueError(f"each field is transformed once, got {list(fields)}")
     result = -lagrangian
     for name in fields:
         if name not in FIELD_SYMBOLS:

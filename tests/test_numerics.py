@@ -571,7 +571,6 @@ def _stencil_samples(kind, rng, shape):
     if kind == "float32":
         return rho.astype(np.float32), j.astype(np.float32)
     if kind == "float32-rho":
-        # the first sum promotes float32 to float64, as np.gradient's did
         return rho.astype(np.float32), j
     if kind == "float32-j":
         return rho, j.astype(np.float32)
@@ -591,7 +590,10 @@ def _stencil_samples(kind, rng, shape):
 def test_divergence_residual_equals_gradient_form_on_any_samples(kind, spacings):
     rng = np.random.default_rng(17)
     rho, j = _stencil_samples(kind, rng, (5, 6, 4, 7))
-    assert divergence_residual(rho, j, spacings) == gradient_residual(rho, j, spacings)
+    got = divergence_residual(rho, j, spacings)
+    if kind.startswith("float32"):  # slices are read as float64
+        rho, j = rho.astype(np.float64), j.astype(np.float64)
+    assert got == gradient_residual(rho, j, spacings)
 
 
 def test_divergence_residual_validation():

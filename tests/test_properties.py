@@ -4,7 +4,6 @@ input range, and the ring laws and canonical form of FieldExpr."""
 import functools
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,7 +143,7 @@ CATALOG_FACTORS = sorted(
         for factor in mono
     }
 )
-small = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
+small = st.integers(-3, 3)
 leaves = st.one_of(
     st.sampled_from(CATALOG_FACTORS).map(lambda f: D(f[0], *f[1])),
     st.builds(
@@ -173,8 +172,7 @@ def _assert_canonical(expr):
         assert isinstance(mono, tuple) and mono == tuple(sorted(mono))
         assert all(derivs == tuple(sorted(derivs)) for _n, derivs in mono)
         assert coeff.re or coeff.im
-        for part in (coeff.re, coeff.im):
-            assert type(part) is (int if part.denominator == 1 else Fraction)
+        assert type(coeff.re) is int and type(coeff.im) is int
 
 
 def _scaled_by_collection(a, k):
@@ -208,7 +206,7 @@ def test_every_result_is_canonical(a, b):
 @settings(deadline=None)
 @given(expressions, small)
 @example(D("phi"), 0)
-@example(D("phi") + FieldExpr({(): Fraction(1, 2)}), 2)
+@example(D("phi") + FieldExpr({(): -3}), 2)
 def test_scalar_products_equal_the_general_product(a, k):
     expected = _scaled_by_collection(a, k)
     for product in (k * a, a * k, ExactComplex.of(k) * a, a * ExactComplex.of(k)):
@@ -219,15 +217,14 @@ def test_scalar_products_equal_the_general_product(a, k):
 
 @settings(deadline=None)
 @given(small, small)
-def test_exact_complex_equality_and_hash_ignore_the_part_types(re, im):
+def test_exact_complex_equality_and_hash_follow_both_parts(re, im):
     exact = ExactComplex(re, im)
-    as_fractions = ExactComplex(Fraction(re), Fraction(im))
-    assert exact == as_fractions and hash(exact) == hash(as_fractions)
+    same = ExactComplex.of(re) + ExactComplex(0, im)
+    assert exact == same and hash(exact) == hash(same)
     assert exact != ExactComplex(re, im + 1) and exact != ExactComplex(re + 1, im)
 
 
 def test_exact_complex_keeps_the_dataclass_repr_and_equality():
     assert repr(ExactComplex(2, 0)) == "ExactComplex(re=2, im=0)"
-    half = ExactComplex(Fraction(-1, 2), 3)
-    assert repr(half) == "ExactComplex(re=Fraction(-1, 2), im=3)"
+    assert repr(ExactComplex(-1, 3)) == "ExactComplex(re=-1, im=3)"
     assert ExactComplex(1, 0) != (1, 0)  # only another ExactComplex is equal

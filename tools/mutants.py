@@ -60,6 +60,7 @@ SYMBOLIC = "symbolic ring (construction without a second zero filter)"
 STENCIL = "continuity in fewer passes (one sample per wave per stencil, one product per term)"
 VALUES = "value classes as dataclasses (generated equality, hash and repr)"
 ONCE = "each symbolic check said once (one atom builder, one first-order guard)"
+FORMATS = "one exact format per value (Gaussian-integer coefficients, float64 slices)"
 
 TABLE = (
     # --- the continuity window -------------------------------------------------
@@ -213,8 +214,8 @@ TABLE = (
     Mutant("exact_coefficient_drops_denominator",
            "ExactComplex.of (hand-run when coefficients became exact)",
            "a Fraction coefficient keeps its denominator",
-           SYM, "return ExactComplex(value, 0)",
-           "return ExactComplex(value.numerator, 0)"),
+           obsolete="coefficients are Gaussian integers and ExactComplex.of refuses "
+           "a Fraction; of_accepts_fraction is its analog"),
     # --- the symbolic ring ------------------------------------------------------
     Mutant("collect_keeps_a_cancelled_coefficient", SYMBOLIC,
            "a sum that cancels leaves the expression",
@@ -235,17 +236,18 @@ TABLE = (
            "(mono, ExactComplex.of(c))"),
     Mutant("integral_fraction_kept", SYMBOLIC,
            "coefficient parts are int where integral",
-           SYM, "re.denominator != 1 else int(re)", "re.denominator != 1 else re"),
+           obsolete="the normalization of an integral Fraction was removed: the parts "
+           "are int, and ExactComplex.of refuses a Fraction (of_accepts_fraction)"),
     # --- generated value semantics and the one time-derivative test ----------
     Mutant("exact_complex_im_not_compared",
            VALUES + "; analog of exact_complex_eq_ignores_im",
            "equal coefficients have equal imaginary parts",
-           SYM, "    im: int | Fraction\n",
-           "    im: int | Fraction = __import__('dataclasses').field(compare=False)\n"),
+           SYM, "    im: int\n",
+           "    im: int = __import__('dataclasses').field(compare=False)\n"),
     Mutant("exact_complex_eq_not_generated", VALUES,
            "coefficients compare by value, not identity",
-           SYM, "@dataclass(init=False, unsafe_hash=True, slots=True)",
-           "@dataclass(init=False, eq=False, unsafe_hash=True, slots=True)"),
+           SYM, "@dataclass(unsafe_hash=True, slots=True)",
+           "@dataclass(eq=False, unsafe_hash=True, slots=True)"),
     Mutant("field_expr_eq_not_generated", VALUES,
            "expressions compare by their terms, not identity",
            SYM, "@dataclass(init=False, repr=False, slots=True)",
@@ -260,8 +262,7 @@ TABLE = (
     # --- each input check in one place ----------------------------------------
     Mutant("atom_index_4_accepted", ONCE,
            "D refuses a derivative index outside 0..3",
-           SYM, "    for mu in mus:\n        if mu not in (0, 1, 2, 3):",
-           "    for mu in mus:\n        if mu not in (0, 1, 2, 3, 4):"),
+           SYM, "    if not 0 <= mu <= 3:", "    if not 0 <= mu <= 4:"),
     Mutant("field_accepts_any_symbol", ONCE,
            "field refuses a potential or constant name",
            SYM, "    if name not in FIELD_SYMBOLS:\n"
@@ -279,6 +280,24 @@ TABLE = (
            "a config file that cannot be read is reported as such",
            CLI, 'raise ValueError(f"cannot read config: {err}") from err',
            'raise ValueError(f"{err}") from err'),
+    # --- one exact format per value ---------------------------------------------
+    Mutant("of_accepts_fraction", FORMATS,
+           "a Fraction coefficient is refused",
+           SYM, "if isinstance(value, int) and not isinstance(value, bool):",
+           "if isinstance(value, (int, __import__('fractions').Fraction))"
+           " and not isinstance(value, bool):"),
+    Mutant("index_accepts_float", FORMATS,
+           "a float derivative index is refused",
+           SYM, "    if type(mu) is not int:", "    if type(mu) not in (int, float):"),
+    Mutant("repeated_field_guard_dropped", FORMATS,
+           "the Legendre transform refuses a repeated field",
+           SYM, "    if len(set(fields)) != len(fields):\n"
+           "        raise ValueError(f\"each field is transformed once, got {list(fields)}\")\n",
+           ""),
+    Mutant("window_dtype_float_dropped", FORMATS,
+           "each slice is read as float64",
+           NUM, "rho_t, j_t = np.asarray(rho_t, dtype=float), np.asarray(j_t, dtype=float)",
+           "rho_t, j_t = np.asarray(rho_t), np.asarray(j_t)"),
 )
 
 

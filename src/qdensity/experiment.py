@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import ClassVar, Optional, Tuple
 
 import numpy as np
@@ -323,7 +323,7 @@ def run_orthogonality_experiment(config: ExperimentConfig) -> ExperimentReport:
         monotone = all(abs(a.u) > abs(b.u) for a, b in zip(by_d[:-1], by_d[1:]))
 
     parameters = {
-        **asdict(config),
+        **{f.name: getattr(config, f.name) for f in fields(config)},
         "n_phi_effective": 1,
         "d_values": list(config.d_values),
         "t": 0.0,

@@ -14,8 +14,10 @@ same eigenvalues cost more than the solve and gave less accurate weights.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
@@ -48,12 +50,20 @@ def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     but polishes them with three Clenshaw sums of Legendre series and a
     series derivative: that polish was most of the cost of the orthogonality
     experiment's two grid builds, and its weights are less accurate (1e-10
-    relative at order 512, against 1e-12 here).
+    relative at order 512, against 1e-12 here).  Each order is built once per
+    process; both arrays are shared and read-only.
     """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise TypeError(f"quadrature order must be an integer, got {type(n).__name__}")
     if n < 1:
         raise ValueError(f"quadrature order must be >= 1, got {n}")
+    # checked before the lookup, whose keys compare by ==: True == 1, 8.0 == 8
+    return _gauss_legendre(operator.index(n))
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The rule of order ``n``, built once per process and read-only."""
     k = np.arange(1.0, n)
     x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
     p0, p1 = np.ones_like(x), x  # P_{m-1} and P_m at the nodes, from m = 1
@@ -68,7 +78,9 @@ def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
     x = x - step
     w = 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
     # x is odd and w even in exact arithmetic: make them so bit for bit
-    return (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+    x, w = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def composite_gauss_legendre(
@@ -281,13 +293,17 @@ def divergence_residual_of_slices(
     """Max-norm of d0 rho + div j over the interior of a (t,x,y,z) stencil,
     formed one time slice (rho_t of shape (nx, ny, nz), j_t) at a time from a
     window of three, by second-order central differences: O(h^2) on smooth
-    conserved currents.  Samples are read as float64, and each difference is
-    the interior of ``np.gradient`` bit for bit."""
+    conserved currents.  Samples are read as float64, a complex one is refused,
+    and each difference is the interior of ``np.gradient`` bit for bit."""
     if len(spacings) != 4:
         raise ValueError("spacings must give (dt, dx, dy, dz)")
     inner = (slice(1, -1),) * 3
     window, peaks = [], []
     for rho_t, j_t in slices:
+        for part in (rho_t, j_t):
+            if np.iscomplexobj(part):  # the cast would drop the imaginary part
+                dtype = np.asarray(part).dtype
+                raise TypeError(f"current slices must be real, got {dtype}")
         rho_t, j_t = np.asarray(rho_t, dtype=float), np.asarray(j_t, dtype=float)
         shape = window[0][0].shape if window else rho_t.shape
         if rho_t.shape != shape or j_t.shape != (3,) + shape:

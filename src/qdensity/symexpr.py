@@ -55,6 +55,12 @@ class ExactComplex:
     @staticmethod
     def of(value: ScalarLike) -> "ExactComplex":
         if isinstance(value, ExactComplex):
+            # the generated __init__ checks nothing: the parts are checked here
+            for part in (value.re, value.im):
+                if not isinstance(part, int) or isinstance(part, bool):
+                    raise TypeError(
+                        f"{type(part).__name__} is not an integer coefficient part"
+                    )
             return value
         # a float is not the decimal it was written as, and a bool no number
         if isinstance(value, int) and not isinstance(value, bool):

@@ -558,6 +558,16 @@ def test_well_modes_are_solved_once_per_experiment(monkeypatch):
         assert sorted(calls) == [0, 1]
 
 
+def test_each_rule_is_built_once_per_process():
+    # orders 8 and 16 for the coarse grid, 8 again and 32 for the fine one
+    numerics._gauss_legendre.cache_clear()
+    run_orthogonality_experiment(ExperimentConfig())
+    info = numerics._gauss_legendre.cache_info()
+    assert (info.misses, info.hits) == (3, 1)
+    run_orthogonality_experiment(ExperimentConfig())
+    assert numerics._gauss_legendre.cache_info().misses == 3
+
+
 def test_uncoupled_experiment_reports_exact_zeros():
     report = run_orthogonality_experiment(ExperimentConfig(e=0.0))
     for entry in report.sweep:

@@ -62,7 +62,36 @@ def test_non_integer_order_rejected_with_its_type(n):
 
 
 def test_numpy_integer_order_accepted():
+    # and served from the same cache entry: each order is built once
     for got, want in zip(gauss_legendre(np.int64(8)), gauss_legendre(8)):
+        assert got is want
+
+
+def test_the_shared_rule_is_read_only():
+    nodes, weights = gauss_legendre(8)
+    for array in (nodes, weights, BallGrid.build(1.0).cos_theta):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [True, 8.0, "8"], ids=repr)
+def test_a_cached_order_does_not_admit_an_equal_non_integer(n):
+    # True == 1 and 8.0 == np.int64(8) with equal hashes, so a cache lookup
+    # ahead of the checks would return a cached rule
+    for order in (1, 8, np.int64(1), np.int64(8)):
+        gauss_legendre(order)
+    with pytest.raises(TypeError, match=f"got {type(n).__name__}$"):
+        gauss_legendre(n)
+    with pytest.raises(ValueError, match="got 0$"):
+        gauss_legendre(0)
+
+
+@pytest.mark.parametrize("n", [1, 8, 32, 1024])
+def test_the_cached_rule_equals_a_fresh_build(n):
+    fresh = numerics._gauss_legendre.__wrapped__(n)
+    for got, want in zip(gauss_legendre(n), fresh):
+        assert got is not want
         assert got.tobytes() == want.tobytes()
 
 
@@ -652,6 +681,17 @@ def test_slice_residual_needs_a_3d_slice_of_three_points_per_axis(shape):
 def test_slice_residual_rejects_a_flux_of_another_shape(j_shape, at):
     slices = _slices(3, j_shape=j_shape, at=at)
     with pytest.raises(ValueError, match="does not match"):
+        divergence_residual_of_slices(iter(slices), (0.1,) * 4)
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("part", ["rho", "j"])
+def test_slice_residual_refuses_a_complex_slice(part, dtype):
+    # the float64 cast would drop the imaginary part
+    slices = _slices(3)
+    rho, j = slices[1]
+    slices[1] = (rho.astype(dtype), j) if part == "rho" else (rho, j.astype(dtype))
+    with pytest.raises(TypeError, match=f"must be real, got {np.dtype(dtype)}$"):
         divergence_residual_of_slices(iter(slices), (0.1,) * 4)
 
 

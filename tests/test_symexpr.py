@@ -180,6 +180,24 @@ def test_inexact_or_foreign_coefficients_are_rejected(value):
 
 
 @pytest.mark.parametrize(
+    "parts", [(0.5, 0), (0, 0.5), (True, 0), (0, False), (Fraction(1, 2), 0)], ids=repr
+)
+def test_a_coefficient_with_a_non_integer_part_is_rejected(parts):
+    # the generated __init__ stores any parts; ExactComplex.of refuses them,
+    # and the constructor and the scalar product both go through it
+    coefficient = ExactComplex(*parts)
+    name = type(next(p for p in parts if type(p) is not int)).__name__
+    for build in (
+        lambda: ExactComplex.of(coefficient),
+        lambda: FieldExpr({(("phi", ()),): coefficient}),
+        lambda: field("phi") * coefficient,
+        lambda: coefficient * field("phi"),
+    ):
+        with pytest.raises(TypeError, match=f"^{name} is not an integer coefficient part$"):
+            build()
+
+
+@pytest.mark.parametrize(
     "symbol, combine, scalar",
     [
         ("+", operator.add, 1),

@@ -61,6 +61,8 @@ STENCIL = "continuity in fewer passes (one sample per wave per stencil, one prod
 VALUES = "value classes as dataclasses (generated equality, hash and repr)"
 ONCE = "each symbolic check said once (one atom builder, one first-order guard)"
 FORMATS = "one exact format per value (Gaussian-integer coefficients, float64 slices)"
+CACHE = "each Gauss-Legendre rule built once per process (checked, then looked up)"
+REFUSED = "inputs refused before a cast or a store hides them"
 
 TABLE = (
     # --- the continuity window -------------------------------------------------
@@ -298,6 +300,21 @@ TABLE = (
            "each slice is read as float64",
            NUM, "rho_t, j_t = np.asarray(rho_t, dtype=float), np.asarray(j_t, dtype=float)",
            "rho_t, j_t = np.asarray(rho_t), np.asarray(j_t)"),
+    # --- each Gauss-Legendre rule built once per process -----------------------
+    Mutant("rule_arrays_writable", CACHE,
+           "the shared nodes and weights cannot be written",
+           NUM, "    x.flags.writeable = w.flags.writeable = False\n", ""),
+    Mutant("rule_checks_after_lookup", CACHE,
+           "an order equal to a cached one but not an integer is refused",
+           NUM, "\ndef gauss_legendre(n: int)",
+           "\n@functools.cache\ndef gauss_legendre(n: int)"),
+    # --- inputs refused before a cast or a store hides them ---------------------
+    Mutant("of_part_check_dropped", REFUSED,
+           "a coefficient with a non-integer part is refused",
+           SYM, "for part in (value.re, value.im):", "for part in ():"),
+    Mutant("complex_slice_check_dropped", REFUSED,
+           "a complex current slice is refused, not cast to its real part",
+           NUM, "if np.iscomplexobj(part):", "if False:"),
 )
 
 

@@ -189,16 +189,16 @@ def symmetry_checks() -> List[Check]:
     ]
 
 
-def _spatial_samples(waves, n: int, h: float):
-    """Each wave sampled once on the open 3D grid at t = 0, where its time
-    factor e^0 is exactly 1: a slice at t is this sample times e^{-i omega t}."""
-    x = np.arange(n) * h
-    xyz = np.meshgrid(x, x, x, indexing="ij", sparse=True)
+def _box_samples(waves, shape, spacings):
+    """Each wave sampled once, at t = 0 (where e^0 is exactly 1), on a box of
+    ``shape`` nodes with ``spacings``: a slice at t is it times e^{-i omega t}."""
+    axes = [np.arange(n) * h for n, h in zip(shape, spacings)]
+    xyz = np.meshgrid(*axes, indexing="ij", sparse=True)
     return [wave.sample(xyz, 0.0) for wave in waves]
 
 
-def _dirac_current_on_stencil(waves, n, h, nt, dt):
-    samples = _spatial_samples(waves, n, h)
+def _dirac_current_on_stencil(waves, shape, h, nt, dt):
+    samples = _box_samples(waves, shape, (h, h, h))
     for t in np.arange(nt) * dt:  # (rho, j) one time slice at a time
         psi = samples[0] * cmath.exp(-1j * waves[0].energy * t)
         for wave, sample in zip(waves[1:], samples[1:]):
@@ -207,8 +207,8 @@ def _dirac_current_on_stencil(waves, n, h, nt, dt):
         yield current.rho, current.j
 
 
-def _kg_current_on_stencil(waves, n, h, nt, dt):
-    samples = _spatial_samples(waves, n, h)
+def _kg_current_on_stencil(waves, shape, h, nt, dt):
+    samples = _box_samples(waves, shape, (h, h, h))
     for t in np.arange(nt) * dt:
         # one product per wave: d/dt and grad of e^{i(k.x - omega t)} are factors;
         # each sum starts from the first wave's term and adds the others in place
@@ -245,7 +245,8 @@ def continuity_checks() -> List[Check]:
     ]
 
     def residual(stencil, waves, n, h, nt, dt):
-        slices = stencil(waves, n, h, nt, dt)
+        # a line of centres along x, one interior node in y and z (README: continuity)
+        slices = stencil(waves, (n, 3, 3), h, nt, dt)
         return numerics.divergence_residual_of_slices(slices, (dt, h, h, h))
 
     def order(name, stencil, waves):
@@ -276,8 +277,7 @@ def dirac_consistency_checks() -> List[Check]:
         # any pointwise quantity is its value on one slice, and 3 z nodes, the
         # stencil's minimum, give the same bits as n of them
         h = 2.0 * np.pi / n
-        axes = [np.arange(m) * h for m in (n, n, 3)]
-        psi = wave.sample(np.meshgrid(*axes, indexing="ij", sparse=True), 0.0)
+        (psi,) = _box_samples([wave], (n, n, 3), (h, h, h))
         h_psi = fieldops.dirac_hamiltonian_apply(psi, (h, h, h), mass)
         deviation = wave.energy * psi
         np.subtract(h_psi, deviation, out=deviation)

@@ -19,7 +19,8 @@ import qdensity
 from qdensity import cli, fieldops, numerics, symexpr
 from qdensity.cli import CONFIG_KEYS, load_config, main, parse_args, run
 from test_fieldops import (
-    ALPHAS, PAULI, imaginary_part_kg_current, same_bits, squared_parts_dirac_current,
+    ALPHAS, BETA, PAULI, imaginary_part_kg_current, same_bits,
+    squared_parts_dirac_current,
 )
 from test_numerics import gradient_residual
 
@@ -480,7 +481,7 @@ def test_continuity_samples_each_wave_once_per_stencil(monkeypatch, wave_class):
         monkeypatch.setattr(wave_class, name, counted(name))
     cli.continuity_checks()
     # one wave on the plane-wave stencil and two on each of the two order
-    # stencils, each sampled once, at t = 0, on the open 3D grid
+    # stencils, each sampled once, at t = 0, on an open (n, 3, 3) box
     samples = calls.pop("sample")
     assert len(samples) == 1 + 2 + 2
     assert all(len(grids) == 0 for grids in calls.values())
@@ -490,12 +491,15 @@ def test_continuity_samples_each_wave_once_per_stencil(monkeypatch, wave_class):
         for axis in xyz:
             assert axis.ndim == 3
             assert sum(n > 1 for n in axis.shape) == 1
+        assert np.broadcast_shapes(*(axis.shape for axis in xyz))[1:] == (3, 3)
 
 
-#: the continuity suite's order stencils, (n, h, nt, dt)
+#: the continuity suite's order grids, (n, h, nt, dt)
+ORDER_GRIDS = {"coarse": (11, 0.2, 7, 0.2), "fine": (21, 0.1, 13, 0.1)}
+#: the order stencils as the suite runs them, ((n, 3, 3), h, nt, dt)
 ORDER_STENCILS = [
-    pytest.param((11, 0.2, 7, 0.2), id="coarse"),
-    pytest.param((21, 0.1, 13, 0.1), id="fine"),
+    pytest.param(((n, 3, 3), h, nt, dt), id=name)
+    for name, (n, h, nt, dt) in ORDER_GRIDS.items()
 ]
 
 
@@ -507,12 +511,11 @@ def _summed(arrays):
     return first
 
 
-def oracle_stencil_current(waves, n, h, nt, dt):
+def oracle_stencil_current(waves, shape, h, nt, dt):
     """(rho, j) on the whole 4D stencil in the stencils' order: each wave is
     its phase e^{-i omega t} times its sample at t = 0, and every sum and
     bracket is out of place."""
-    x = np.arange(n) * h
-    xyz = np.meshgrid(x, x, x, indexing="ij", sparse=True)
+    xyz = np.meshgrid(*(np.arange(n) * h for n in shape), indexing="ij", sparse=True)
     times = np.arange(nt) * dt
     spinor = isinstance(waves[0], fieldops.SpinorPlaneWave)
     fields = []
@@ -585,20 +588,28 @@ def test_continuity_residuals_equal_the_gradient_form_of_the_oracle(monkeypatch)
     assert len(stencils) == len(residuals) == 6
     for (stencil, waves, *grid), residual in zip(stencils, residuals):
         rho, j = assert_slices_equal_oracle(stencil, waves, grid)
-        n, h, nt, dt = grid
+        shape, h, nt, dt = grid
+        assert shape[1:] == (3, 3)
         assert residual == gradient_residual(rho, j, (dt, h, h, h))
 
 
-def closed_form_residual(rho_ab, j_ab, dw, dk, n, h, nt, dt):
-    """Oracle: max over the interior nodes of the exact discrete residual of
-    a pair of plane waves.  The bilinear current's cross term is one plane
-    wave c e^{i(dk.x - dw t)}, which a central difference maps to the symbols
-    -i sin(dw dt)/dt and i sin(dk_k h)/h; the constant terms difference to 0."""
+def closed_form_symbol(rho_ab, j_ab, dw, dk, h, dt):
+    """The bilinear current of a pair of plane waves has one cross term, the
+    plane wave c e^{i(dk.x - dw t)}, which a central difference maps to the
+    symbols -i sin(dw dt)/dt and i sin(dk_k h)/h; the constant terms
+    difference to 0.  The residual is 2 Re of the symbol times the phase."""
     symbol = rho_ab * (-1j * math.sin(dw * dt) / dt)
     for k in range(3):
         symbol += j_ab[k] * (1j * math.sin(dk[k] * h) / h)
-    x = np.arange(1, n - 1) * h
-    tt, *xyz = np.meshgrid(np.arange(1, nt - 1) * dt, x, x, x, indexing="ij")
+    return symbol
+
+
+def closed_form_residual(rho_ab, j_ab, dw, dk, n, h, nt, dt):
+    """Oracle: max of the exact discrete residual of a pair of plane waves
+    over the suite's line of stencil centres, (x, h, h) for x in 1..n-2."""
+    symbol = closed_form_symbol(rho_ab, j_ab, dw, dk, h, dt)
+    tt, *xyz = np.meshgrid(np.arange(1, nt - 1) * dt, np.arange(1, n - 1) * h,
+                           [h], [h], indexing="ij")
     phase = -dw * tt + sum(dk[k] * xyz[k] for k in range(3))
     return float(np.max(np.abs(2.0 * (np.exp(1j * phase) * symbol).real)))
 
@@ -613,9 +624,9 @@ def closed_form_spinor(p, s, mass):
     return energy, np.concatenate([scale * chi, sigma_p @ chi / scale])
 
 
-def closed_form_order_rows(mass=1.0):
-    """{row: (coarse, fine)} of both order rows from the closed form alone:
-    Dirac rho_ab = u_a^dag u_b, j_ab = u_a^dag alpha u_b; KG
+def closed_form_pair_terms(mass=1.0):
+    """{row: (rho_ab, j_ab, dw, dk)} of both order rows' wave pairs: Dirac
+    rho_ab = u_a^dag u_b, j_ab = u_a^dag alpha u_b; KG
     rho_ab = (w_a + w_b) N_a* N_b, j_ab = (k_a + k_b) N_a* N_b."""
     (w_a, u_a), (w_b, u_b) = (closed_form_spinor((0.9, 0.0, 0.2), 1, mass),
                               closed_form_spinor((-0.4, 1.1, 0.6), 2, mass))
@@ -626,11 +637,14 @@ def closed_form_order_rows(mass=1.0):
     w_a, w_b = (math.sqrt(float(k @ k) + mass**2) for k in (k_a, k_b))
     cross = np.conj(n_a) * n_b
     kg = ((w_a + w_b) * cross, (k_a + k_b) * cross, w_b - w_a, k_b - k_a)
+    return {"dirac_superposition_order": dirac, "kg_superposition_order": kg}
+
+
+def closed_form_order_rows(mass=1.0):
+    """{row: (coarse, fine)} of both order rows from the closed form alone."""
     return {
-        name: tuple(closed_form_residual(*terms, *grid) for grid in
-                    ((11, 0.2, 7, 0.2), (21, 0.1, 13, 0.1)))
-        for name, terms in (("dirac_superposition_order", dirac),
-                            ("kg_superposition_order", kg))
+        name: tuple(closed_form_residual(*terms, *grid) for grid in ORDER_GRIDS.values())
+        for name, terms in closed_form_pair_terms(mass).items()
     }
 
 
@@ -652,6 +666,49 @@ def test_continuity_order_rows_equal_the_closed_form(monkeypatch):
         assert measured == pytest.approx(expected, rel=1e-11, abs=0.0)
         order = math.log2(expected[0] / expected[1])
         assert rows[name].value == pytest.approx(order, rel=1e-11, abs=0.0)
+
+
+#: each continuity row's stencil and waves, as the suite builds them
+CONTINUITY_WAVES = {
+    "dirac_plane_wave_residual": (
+        cli._dirac_current_on_stencil,
+        [fieldops.SpinorPlaneWave.build((0.7, -0.3, 0.4), 1.0)],
+    ),
+    "kg_plane_wave_residual": (
+        cli._kg_current_on_stencil,
+        [fieldops.KGPlaneWave.free(0.8 + 0.3j, (0.6, 0.2, -0.5), 1.0)],
+    ),
+    "dirac_superposition_order": (
+        cli._dirac_current_on_stencil,
+        [fieldops.SpinorPlaneWave.build((0.9, 0.0, 0.2), 1.0, s=1),
+         fieldops.SpinorPlaneWave.build((-0.4, 1.1, 0.6), 1.0, s=2)],
+    ),
+    "kg_superposition_order": (
+        cli._kg_current_on_stencil,
+        [fieldops.KGPlaneWave.free(1.0, (1.2, 0.0, 0.4), 1.0),
+         fieldops.KGPlaneWave.free(0.5 - 0.2j, (-0.3, 0.9, 1.0), 1.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("grid", ORDER_GRIDS.values(), ids=ORDER_GRIDS)
+@pytest.mark.parametrize("row", CONTINUITY_WAVES)
+def test_continuity_line_residual_is_bounded_by_the_cube_and_the_symbol(row, grid):
+    """line <= cube <= 2 |symbol|.  The (n, 3, 3) box's interior line is a
+    subset of the n^3 cube's interior, and a pair's residual on any node is
+    |2 Re(symbol e^{i phase})|.  A single wave's current is constant, so its
+    symbol is 0; 1e-10, the plane-wave rows' bound, leaves room for rounding."""
+    stencil, waves = CONTINUITY_WAVES[row]
+    n, h, nt, dt = grid
+    spacings = (dt, h, h, h)
+    line = numerics.divergence_residual_of_slices(
+        stencil(waves, (n, 3, 3), h, nt, dt), spacings
+    )
+    cube = gradient_residual(*oracle_stencil_current(waves, (n, n, n), h, nt, dt),
+                             spacings)
+    terms = closed_form_pair_terms().get(row)
+    symbol = closed_form_symbol(*terms, h, dt) if terms else 0.0
+    assert line <= cube <= 2.0 * abs(symbol) + 1e-10
 
 
 def test_continuity_peak_memory_is_a_few_slices():
@@ -689,6 +746,34 @@ def test_dirac_consistency_equals_the_full_cube():
     expected = [float(np.log2(coarse / fine)), fine / coarse, shift]
     assert [c.value for c in checks] == expected
     assert f"{coarse:.12g} -> {fine:.12g}," in checks[0].detail
+
+
+def test_dirac_consistency_rows_equal_the_closed_form(monkeypatch):
+    """On the periodic grid a central difference maps each momentum component
+    p_k to sin(p_k h)/h, so each residual is max |(alpha.p~ + beta m - E) u|,
+    with no grid; a constant potential shifts H psi by exactly eV psi."""
+    mass, p = 1.0, (1.0, 1.0, 0.0)
+    energy, u = closed_form_spinor(p, 1, mass)
+
+    def residual(n):
+        h = 2.0 * np.pi / n
+        symbol = sum(math.sin(p[k] * h) / h * ALPHAS[k] for k in range(3))
+        return float(np.max(np.abs((symbol + mass * BETA - energy * np.eye(4)) @ u)))
+
+    orders = []
+
+    def recorded(name, what, coarse, fine):
+        orders.append((coarse, fine))
+        return original(name, what, coarse, fine)
+
+    original = cli._order_check
+    monkeypatch.setattr(cli, "_order_check", recorded)
+    rows = {check.name: check for check in cli.dirac_consistency_checks()}
+    expected = (residual(16), residual(32))
+    assert [f"{r:.12g}" for r in expected] == ["0.0596181655421", "0.0149910034492"]
+    assert orders == [pytest.approx(expected, rel=1e-12, abs=0.0)]
+    shift = rows["constant_potential_shift"].value
+    assert shift <= 4 * np.finfo(float).eps * 0.7 * float(np.max(np.abs(u)))
 
 
 def test_dirac_consistency_peak_memory():

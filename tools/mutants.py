@@ -63,6 +63,8 @@ ONCE = "each symbolic check said once (one atom builder, one first-order guard)"
 FORMATS = "one exact format per value (Gaussian-integer coefficients, float64 slices)"
 CACHE = "each Gauss-Legendre rule built once per process (checked, then looked up)"
 REFUSED = "inputs refused before a cast or a store hides them"
+AXES = ("continuity on (n, 3, 3) boxes (hand-run: each flips both order rows at "
+        "the parent and at the change)")
 
 TABLE = (
     # --- the continuity window -------------------------------------------------
@@ -94,6 +96,19 @@ TABLE = (
            "each slice enters the window once",
            NUM, "window = window[-2:] + [(rho_t, j_t)]",
            "window = window[-1:] + [(rho_t, j_t)] * 2"),
+    # --- one axis of the residual ----------------------------------------------
+    Mutant("residual_y_spacing_halved", AXES,
+           "the y difference spans two y spacings",
+           NUM, "diff /= 2.0 * spacings[axis + 1]",
+           "diff /= (1.0 if axis == 1 else 2.0) * spacings[axis + 1]"),
+    Mutant("residual_z_spacing_halved", AXES,
+           "the z difference spans two z spacings",
+           NUM, "diff /= 2.0 * spacings[axis + 1]",
+           "diff /= (1.0 if axis == 2 else 2.0) * spacings[axis + 1]"),
+    Mutant("residual_z_flux_dropped", AXES,
+           "div j takes the z flux term",
+           NUM, "        for axis in range(3):\n",
+           "        for axis in range(2):\n"),
     # --- one sample per wave per stencil, one product per current term --------
     Mutant("dirac_stencil_phase_sign", STENCIL,
            "each Dirac slice carries e^{-i E t}",
@@ -107,7 +122,7 @@ TABLE = (
            "each wave is sampled at t = 0, where its time factor is exactly 1 "
            "(h equals dt on both order stencils)",
            CLI, "return [wave.sample(xyz, 0.0) for wave in waves]",
-           "return [wave.sample(xyz, h) for wave in waves]"),
+           "return [wave.sample(xyz, spacings[0]) for wave in waves]"),
     Mutant("kg_current_j_factor_sign", STENCIL,
            "j_k = +2 Im(phi* dk phi)",
            FOPS, "j[k] = 2.0 * (phi_star * grad_phi[k]).imag",

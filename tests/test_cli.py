@@ -494,6 +494,29 @@ def test_continuity_samples_each_wave_once_per_stencil(monkeypatch, wave_class):
         assert np.broadcast_shapes(*(axis.shape for axis in xyz))[1:] == (3, 3)
 
 
+#: each continuity row's stencil and waves, as the suite builds them
+CONTINUITY_WAVES = {
+    "dirac_plane_wave_residual": (
+        cli._dirac_current_on_stencil,
+        [fieldops.SpinorPlaneWave.build((0.7, -0.3, 0.4), 1.0)],
+    ),
+    "kg_plane_wave_residual": (
+        cli._kg_current_on_stencil,
+        [fieldops.KGPlaneWave.free(0.8 + 0.3j, (0.6, 0.2, -0.5), 1.0)],
+    ),
+    "dirac_superposition_order": (
+        cli._dirac_current_on_stencil,
+        [fieldops.SpinorPlaneWave.build((0.9, 0.0, 0.2), 1.0, s=1),
+         fieldops.SpinorPlaneWave.build((-0.4, 1.1, 0.6), 1.0, s=2)],
+    ),
+    "kg_superposition_order": (
+        cli._kg_current_on_stencil,
+        [fieldops.KGPlaneWave.free(1.0, (1.2, 0.0, 0.4), 1.0),
+         fieldops.KGPlaneWave.free(0.5 - 0.2j, (-0.3, 0.9, 1.0), 1.0)],
+    ),
+}
+
+
 #: the continuity suite's order grids, (n, h, nt, dt)
 ORDER_GRIDS = {"coarse": (11, 0.2, 7, 0.2), "fine": (21, 0.1, 13, 0.1)}
 #: the order stencils as the suite runs them, ((n, 3, 3), h, nt, dt)
@@ -548,20 +571,12 @@ def assert_slices_equal_oracle(stencil, waves, grid):
 
 @pytest.mark.parametrize("stencil", ORDER_STENCILS)
 def test_kg_stencil_equals_the_current_of_phased_samples(stencil):
-    waves = [
-        fieldops.KGPlaneWave.free(1.0, (1.2, 0.0, 0.4), 1.0),
-        fieldops.KGPlaneWave.free(0.5 - 0.2j, (-0.3, 0.9, 1.0), 1.0),
-    ]
-    assert_slices_equal_oracle(cli._kg_current_on_stencil, waves, stencil)
+    assert_slices_equal_oracle(*CONTINUITY_WAVES["kg_superposition_order"], stencil)
 
 
 @pytest.mark.parametrize("stencil", ORDER_STENCILS)
 def test_dirac_stencil_equals_the_current_of_summed_samples(stencil):
-    waves = [
-        fieldops.SpinorPlaneWave.build((0.9, 0.0, 0.2), 1.0, s=1),
-        fieldops.SpinorPlaneWave.build((-0.4, 1.1, 0.6), 1.0, s=2),
-    ]
-    assert_slices_equal_oracle(cli._dirac_current_on_stencil, waves, stencil)
+    assert_slices_equal_oracle(*CONTINUITY_WAVES["dirac_superposition_order"], stencil)
 
 
 def test_continuity_residuals_equal_the_gradient_form_of_the_oracle(monkeypatch):
@@ -666,29 +681,6 @@ def test_continuity_order_rows_equal_the_closed_form(monkeypatch):
         assert measured == pytest.approx(expected, rel=1e-11, abs=0.0)
         order = math.log2(expected[0] / expected[1])
         assert rows[name].value == pytest.approx(order, rel=1e-11, abs=0.0)
-
-
-#: each continuity row's stencil and waves, as the suite builds them
-CONTINUITY_WAVES = {
-    "dirac_plane_wave_residual": (
-        cli._dirac_current_on_stencil,
-        [fieldops.SpinorPlaneWave.build((0.7, -0.3, 0.4), 1.0)],
-    ),
-    "kg_plane_wave_residual": (
-        cli._kg_current_on_stencil,
-        [fieldops.KGPlaneWave.free(0.8 + 0.3j, (0.6, 0.2, -0.5), 1.0)],
-    ),
-    "dirac_superposition_order": (
-        cli._dirac_current_on_stencil,
-        [fieldops.SpinorPlaneWave.build((0.9, 0.0, 0.2), 1.0, s=1),
-         fieldops.SpinorPlaneWave.build((-0.4, 1.1, 0.6), 1.0, s=2)],
-    ),
-    "kg_superposition_order": (
-        cli._kg_current_on_stencil,
-        [fieldops.KGPlaneWave.free(1.0, (1.2, 0.0, 0.4), 1.0),
-         fieldops.KGPlaneWave.free(0.5 - 0.2j, (-0.3, 0.9, 1.0), 1.0)],
-    ),
-}
 
 
 @pytest.mark.parametrize("grid", ORDER_GRIDS.values(), ids=ORDER_GRIDS)

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import dims, experiment, fieldops, numerics, symexpr
+from . import dims, experiment, fieldops, symexpr
 
 SUBCOMMAND_CLAIMS = {
     "dimensions": (
@@ -197,32 +197,35 @@ def _box_samples(waves, shape, spacings):
     return [wave.sample(xyz, 0.0) for wave in waves]
 
 
+def _phased_box_samples(waves, omegas, shape, h, nt, dt):
+    """Each wave on the whole (nt,) + ``shape`` stencil: its t = 0 box sample
+    times its phase e^{-i omega t}, on a time axis just before the box axes."""
+    times = np.arange(nt) * dt
+    phases = [[cmath.exp(-1j * omega * t) for t in times] for omega in omegas]
+    # sample first: numpy's complex product may round a * b and b * a apart
+    return [np.expand_dims(sample, -4) * np.reshape(phase, (-1, 1, 1, 1))
+            for sample, phase in zip(_box_samples(waves, shape, (h, h, h)), phases)]
+
+
 def _dirac_current_on_stencil(waves, shape, h, nt, dt):
-    samples = _box_samples(waves, shape, (h, h, h))
-    for t in np.arange(nt) * dt:  # (rho, j) one time slice at a time
-        psi = samples[0] * cmath.exp(-1j * waves[0].energy * t)
-        for wave, sample in zip(waves[1:], samples[1:]):
-            psi += sample * cmath.exp(-1j * wave.energy * t)
-        current = fieldops.dirac_current(psi)
-        yield current.rho, current.j
+    psi, *rest = _phased_box_samples(waves, [w.energy for w in waves], shape, h, nt, dt)
+    for field in rest:
+        psi += field
+    return fieldops.dirac_current(psi, (dt, h, h, h))
 
 
 def _kg_current_on_stencil(waves, shape, h, nt, dt):
-    samples = _box_samples(waves, shape, (h, h, h))
-    for t in np.arange(nt) * dt:
-        # one product per wave: d/dt and grad of e^{i(k.x - omega t)} are factors;
-        # each sum starts from the first wave's term and adds the others in place
-        phi = samples[0] * cmath.exp(-1j * waves[0].omega * t)
-        phi_t = -1j * waves[0].omega * phi
-        grad = np.multiply.outer(1j * waves[0].k, phi)
-        for wave, sample in zip(waves[1:], samples[1:]):
-            base = sample * cmath.exp(-1j * wave.omega * t)
-            phi_t += -1j * wave.omega * base
-            for k in range(3):
-                grad[k] += 1j * wave.k[k] * base
-            phi += base
-        current = fieldops.kg_current(phi, phi_t, grad_phi=grad)
-        yield current.rho, current.j
+    phi, *rest = _phased_box_samples(waves, [w.omega for w in waves], shape, h, nt, dt)
+    # one product per wave: d/dt and grad of e^{i(k.x - omega t)} are factors;
+    # each sum starts from the first wave's term and adds the others in place
+    phi_t = -1j * waves[0].omega * phi
+    grad = np.multiply.outer(1j * waves[0].k, phi)
+    for wave, base in zip(waves[1:], rest):
+        phi_t += -1j * wave.omega * base
+        for k in range(3):
+            grad[k] += 1j * wave.k[k] * base
+        phi += base
+    return fieldops.kg_current(phi, phi_t, grad_phi=grad, spacings=(dt, h, h, h))
 
 
 def _order_check(name: str, what: str, coarse: float, fine: float) -> Check:
@@ -246,8 +249,7 @@ def continuity_checks() -> List[Check]:
 
     def residual(stencil, waves, n, h, nt, dt):
         # a line of centres along x, one interior node in y and z (README: continuity)
-        slices = stencil(waves, (n, 3, 3), h, nt, dt)
-        return numerics.divergence_residual_of_slices(slices, (dt, h, h, h))
+        return stencil(waves, (n, 3, 3), h, nt, dt).divergence_residual()
 
     def order(name, stencil, waves):
         coarse = residual(stencil, waves, 11, 0.2, 7, 0.2)

@@ -132,13 +132,11 @@ class FourCurrent:
             raise ValueError("spinor density must be nonnegative everywhere")
 
     def divergence_residual(self) -> float:
-        """Max-norm of d0 rho + div j inside the stencil, one time slice at a time."""
+        """Max-norm of d0 rho + div j inside the 4D stencil of the spacings,
+        by ``numerics.divergence_residual``."""
         if self.spacings is None:
             raise ValueError("no grid spacings available for the residual")
-        if (n := self.rho.ndim) != 4:
-            raise ValueError(f"rho must be sampled on a 4D stencil, got {n}D")
-        slices = zip(self.rho, self.j.swapaxes(0, 1))
-        return numerics.divergence_residual_of_slices(slices, self.spacings)
+        return numerics.divergence_residual(self.rho, self.j, self.spacings)
 
 
 def dirac_current(

@@ -4,8 +4,8 @@ Numerical substrate for the ball-integral experiment and the continuity
 checks: composite Gauss-Legendre quadrature over a solid sphere, explicit
 orthonormal spherical harmonics up to l = 2, the lowest nodeless radial
 modes of the infinite spherical well from the tabulated zeros of j_0 and
-j_1, and a second-order finite-difference residual of d0 rho + div j = 0,
-formed one time slice at a time.
+j_1, and a second-order finite-difference residual of d0 rho + div j = 0
+over a whole (t, x, y, z) stencil.
 
 Each Gauss-Legendre rule is built from one symmetric eigenvalue solve
 (Golub & Welsch, Math. Comp. 23 (1969) 221) and one pass of the three-term
@@ -19,7 +19,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ __all__ = [
     "RadialMode",
     "solve_well_mode",
     "integrate_ball",
-    "divergence_residual_of_slices",
+    "divergence_residual",
 ]
 
 
@@ -287,42 +287,36 @@ def solve_well_mode(l: int, R: float, mass: float) -> RadialMode:
 # ----- continuity residual -----------------------------------------------------
 
 
-def divergence_residual_of_slices(
-    slices: Iterable[Tuple[np.ndarray, np.ndarray]], spacings: Sequence[float]
-) -> float:
-    """Max-norm of d0 rho + div j over the interior of a (t,x,y,z) stencil,
-    formed one time slice (rho_t of shape (nx, ny, nz), j_t) at a time from a
-    window of three, by second-order central differences: O(h^2) on smooth
-    conserved currents.  Samples are read as float64, a complex one is refused,
-    and each difference is the interior of ``np.gradient`` bit for bit."""
+def divergence_residual(rho, j, spacings: Sequence[float]) -> float:
+    """Max-norm of d0 rho + div j over the interior of a (t, x, y, z) stencil,
+    rho of shape (nt, nx, ny, nz) and j of shape (3, nt, nx, ny, nz), by
+    second-order central differences: O(h^2) on smooth conserved currents.
+    Samples are read as float64, a complex one is refused, and each
+    difference is the interior of ``np.gradient`` bit for bit."""
     if len(spacings) != 4:
         raise ValueError("spacings must give (dt, dx, dy, dz)")
-    inner = (slice(1, -1),) * 3
-    window, peaks = [], []
-    for rho_t, j_t in slices:
-        for part in (rho_t, j_t):
-            if np.iscomplexobj(part):  # the cast would drop the imaginary part
-                dtype = np.asarray(part).dtype
-                raise TypeError(f"current slices must be real, got {dtype}")
-        rho_t, j_t = np.asarray(rho_t, dtype=float), np.asarray(j_t, dtype=float)
-        shape = window[0][0].shape if window else rho_t.shape
-        if rho_t.shape != shape or j_t.shape != (3,) + shape:
-            raise ValueError(f"slice {rho_t.shape}, {j_t.shape} does not match {shape}")
-        if len(shape) != 3 or min(shape) < 3:
-            raise ValueError(f"slice {shape} too small for central differences")
-        window = window[-2:] + [(rho_t, j_t)]
-        if len(window) < 3:
-            continue
-        (before, _), (_, flux), (after, _) = window
-        total = after[inner] - before[inner]
-        total /= 2.0 * spacings[0]
-        for axis in range(3):
-            upper = inner[:axis] + (slice(2, None),) + inner[axis + 1 :]
-            lower = inner[:axis] + (slice(None, -2),) + inner[axis + 1 :]
-            diff = flux[axis][upper] - flux[axis][lower]
-            diff /= 2.0 * spacings[axis + 1]
-            total += diff
-        peaks.append(np.max(np.abs(total)))
-    if not peaks:
-        raise ValueError("central differences in time need at least 3 slices")
-    return float(np.max(peaks))
+    for part in (rho, j):
+        if np.iscomplexobj(part):  # the cast would drop the imaginary part
+            raise TypeError(f"currents must be real, got {np.asarray(part).dtype}")
+    rho, j = np.asarray(rho, dtype=float), np.asarray(j, dtype=float)
+    if rho.ndim != 4:
+        raise ValueError(f"rho must be sampled on a 4D stencil, got {rho.ndim}D")
+    if j.shape != (3,) + rho.shape:
+        raise ValueError(f"j of shape {j.shape} does not match rho {rho.shape}")
+    if min(rho.shape) < 3:
+        raise ValueError(f"stencil {rho.shape} too small for central differences, "
+                         "which need at least 3 slices on every axis")
+    inner = (slice(1, -1),) * 4
+
+    def central(f, axis):
+        """(f[upper] - f[lower]) / (2 h) along ``axis``, on the interior."""
+        upper = inner[:axis] + (slice(2, None),) + inner[axis + 1 :]
+        lower = inner[:axis] + (slice(None, -2),) + inner[axis + 1 :]
+        diff = f[upper] - f[lower]
+        diff /= 2.0 * spacings[axis]
+        return diff
+
+    total = central(rho, 0)
+    for axis in (1, 2, 3):
+        total += central(j[axis - 1], axis)
+    return float(np.max(np.abs(total)))

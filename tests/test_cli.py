@@ -558,30 +558,33 @@ def oracle_stencil_current(waves, shape, h, nt, dt):
     )
 
 
-def assert_slices_equal_oracle(stencil, waves, grid):
-    """Every yielded slice is the oracle's slice in bytes; returns the oracle."""
+def assert_stencil_equals_oracle(stencil, waves, grid):
+    """The stencil's whole rho and j are the oracle's in bytes, with the
+    stencil's spacings; returns the oracle."""
     rho, j = oracle_stencil_current(waves, *grid)
-    slices = list(stencil(waves, *grid))
-    assert len(slices) == grid[2]
-    for t, (rho_t, j_t) in enumerate(slices):
-        assert np.array_equal(rho_t, rho[t]) and same_bits(rho_t, rho[t])
-        assert np.array_equal(j_t, j[:, t]) and same_bits(j_t, j[:, t])
+    current = stencil(waves, *grid)
+    shape, h, nt, dt = grid
+    assert rho.shape == (nt,) + shape
+    for got, expected in ((current.rho, rho), (current.j, j)):
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected) and same_bits(got, expected)
+    assert current.spacings == (dt, h, h, h)
     return rho, j
 
 
 @pytest.mark.parametrize("stencil", ORDER_STENCILS)
 def test_kg_stencil_equals_the_current_of_phased_samples(stencil):
-    assert_slices_equal_oracle(*CONTINUITY_WAVES["kg_superposition_order"], stencil)
+    assert_stencil_equals_oracle(*CONTINUITY_WAVES["kg_superposition_order"], stencil)
 
 
 @pytest.mark.parametrize("stencil", ORDER_STENCILS)
 def test_dirac_stencil_equals_the_current_of_summed_samples(stencil):
-    assert_slices_equal_oracle(*CONTINUITY_WAVES["dirac_superposition_order"], stencil)
+    assert_stencil_equals_oracle(*CONTINUITY_WAVES["dirac_superposition_order"], stencil)
 
 
 def test_continuity_residuals_equal_the_gradient_form_of_the_oracle(monkeypatch):
-    # every stencil the suite builds: its slices, and the residual streamed
-    # from them, against the np.gradient residual of the whole-stencil oracle
+    # every stencil the suite builds: its current, and the residual formed
+    # from it, against the np.gradient residual of the whole-stencil oracle
     stencils, residuals = [], []
 
     def recorded(stencil):
@@ -591,18 +594,18 @@ def test_continuity_residuals_equal_the_gradient_form_of_the_oracle(monkeypatch)
 
         return wrapper
 
-    def recorded_residual(slices, spacings):
-        residuals.append(original(slices, spacings))
+    def recorded_residual(rho, j, spacings):
+        residuals.append(original(rho, j, spacings))
         return residuals[-1]
 
-    original = numerics.divergence_residual_of_slices
-    monkeypatch.setattr(numerics, "divergence_residual_of_slices", recorded_residual)
+    original = numerics.divergence_residual
+    monkeypatch.setattr(numerics, "divergence_residual", recorded_residual)
     for name in ("_dirac_current_on_stencil", "_kg_current_on_stencil"):
         monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
     cli.continuity_checks()
     assert len(stencils) == len(residuals) == 6
     for (stencil, waves, *grid), residual in zip(stencils, residuals):
-        rho, j = assert_slices_equal_oracle(stencil, waves, grid)
+        rho, j = assert_stencil_equals_oracle(stencil, waves, grid)
         shape, h, nt, dt = grid
         assert shape[1:] == (3, 3)
         assert residual == gradient_residual(rho, j, (dt, h, h, h))
@@ -666,12 +669,12 @@ def closed_form_order_rows(mass=1.0):
 def test_continuity_order_rows_equal_the_closed_form(monkeypatch):
     residuals = []
 
-    def recorded_residual(slices, spacings):
-        residuals.append(original(slices, spacings))
+    def recorded_residual(rho, j, spacings):
+        residuals.append(original(rho, j, spacings))
         return residuals[-1]
 
-    original = numerics.divergence_residual_of_slices
-    monkeypatch.setattr(numerics, "divergence_residual_of_slices", recorded_residual)
+    original = numerics.divergence_residual
+    monkeypatch.setattr(numerics, "divergence_residual", recorded_residual)
     rows = {check.name: check for check in cli.continuity_checks()}
     assert len(residuals) == 6
     closed_form = closed_form_order_rows()
@@ -693,9 +696,7 @@ def test_continuity_line_residual_is_bounded_by_the_cube_and_the_symbol(row, gri
     stencil, waves = CONTINUITY_WAVES[row]
     n, h, nt, dt = grid
     spacings = (dt, h, h, h)
-    line = numerics.divergence_residual_of_slices(
-        stencil(waves, (n, 3, 3), h, nt, dt), spacings
-    )
+    line = stencil(waves, (n, 3, 3), h, nt, dt).divergence_residual()
     cube = gradient_residual(*oracle_stencil_current(waves, (n, n, n), h, nt, dt),
                              spacings)
     terms = closed_form_pair_terms().get(row)
@@ -703,7 +704,7 @@ def test_continuity_line_residual_is_bounded_by_the_cube_and_the_symbol(row, gri
     assert line <= cube <= 2.0 * abs(symbol) + 1e-10
 
 
-def test_continuity_peak_memory_is_a_few_slices():
+def test_continuity_peak_memory_is_a_whole_n_3_3_stencil():
     cli.continuity_checks()  # warm: imports and caches are not counted
     tracemalloc.start()
     try:

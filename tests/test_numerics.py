@@ -9,7 +9,6 @@ from qdensity.fieldops import FourCurrent
 from qdensity.numerics import (
     BallGrid,
     composite_gauss_legendre,
-    divergence_residual_of_slices,
     gauss_legendre,
     integrate_ball,
     solve_well_mode,
@@ -520,8 +519,9 @@ def test_well_mode_argument_validation():
 
 
 def divergence_residual(rho, j, spacings):
-    """The 4D residual through its one path: a scalar current, whose density
-    may take either sign, fed to the slice kernel by FourCurrent."""
+    """The 4D residual as criterion 4 and the CLI form it: a scalar current,
+    whose density may take either sign, fed to numerics.divergence_residual
+    by FourCurrent."""
     return FourCurrent(rho, j, "kg", spacings).divergence_residual()
 
 
@@ -612,14 +612,14 @@ def test_divergence_residual_equals_gradient_form_on_any_samples(kind, spacings)
     rng = np.random.default_rng(17)
     rho, j = _stencil_samples(kind, rng, (5, 6, 4, 7))
     got = divergence_residual(rho, j, spacings)
-    if kind.startswith("float32"):  # slices are read as float64
+    if kind.startswith("float32"):  # samples are read as float64
         rho, j = rho.astype(np.float64), j.astype(np.float64)
     assert got == gradient_residual(rho, j, spacings)
 
 
 def test_divergence_residual_validation():
-    # FourCurrent checks the rank and the flux shape, without which zip would
-    # drop time slices; the spacings and sizes are the slice kernel's checks
+    # FourCurrent checks the flux shape and that spacings are given;
+    # numerics.divergence_residual checks the rank, the spacings and the sizes
     rho = np.ones((2, 4, 4, 4))
     j = np.zeros((3, 2, 4, 4, 4))
     with pytest.raises(ValueError, match="no grid spacings"):
@@ -639,31 +639,29 @@ def test_divergence_residual_validation():
             )
 
 
-def _slices(nt, shape=(4, 4, 4), j_shape=None, at=1):
-    """nt (rho_t, j_t) slices of a static uniform current; slice ``at`` gets
-    a flux of shape ``j_shape``."""
-    slices = [(np.ones(shape), np.zeros((3,) + shape)) for _ in range(nt)]
-    if j_shape is not None:
-        slices[at] = (slices[at][0], np.zeros(j_shape))
-    return slices
+def _stencil(nt, shape=(4, 4, 4)):
+    """(rho, j) of a static uniform current on nt time slices of ``shape``."""
+    return np.ones((nt,) + shape), np.zeros((3, nt) + shape)
 
 
 def test_slice_residual_of_a_static_uniform_current_is_zero():
-    assert divergence_residual_of_slices(iter(_slices(3)), (0.1,) * 4) == 0.0
+    assert numerics.divergence_residual(*_stencil(3), (0.1,) * 4) == 0.0
 
 
 @pytest.mark.parametrize("nt", [0, 1, 2])
 def test_slice_residual_needs_three_slices(nt):
     with pytest.raises(ValueError, match="at least 3 slices"):
-        divergence_residual_of_slices(iter(_slices(nt)), (0.1,) * 4)
+        numerics.divergence_residual(*_stencil(nt), (0.1,) * 4)
 
 
 @pytest.mark.parametrize(
     "shape", [(2, 4, 4), (4, 2, 4), (4, 4, 2), (4, 4), (4, 4, 4, 4)]
 )
 def test_slice_residual_needs_a_3d_slice_of_three_points_per_axis(shape):
-    with pytest.raises(ValueError, match="too small"):
-        divergence_residual_of_slices(iter(_slices(3, shape)), (0.1,) * 4)
+    # a slice of another rank makes a stencil of another rank
+    match = "too small" if len(shape) == 3 else "must be sampled on a 4D stencil"
+    with pytest.raises(ValueError, match=match):
+        numerics.divergence_residual(*_stencil(3, shape), (0.1,) * 4)
 
 
 @pytest.mark.parametrize("at", [0, 1, 2])
@@ -671,28 +669,29 @@ def test_slice_residual_needs_a_3d_slice_of_three_points_per_axis(shape):
     "j_shape", [(3, 4, 4, 5), (2, 4, 4, 4), (4, 4, 4), (3, 1, 4, 4, 4)]
 )
 def test_slice_residual_rejects_a_flux_of_another_shape(j_shape, at):
-    slices = _slices(3, j_shape=j_shape, at=at)
+    # every flux slice of shape j_shape, on 2 + at time slices against rho's 3
+    rho, _ = _stencil(3)
+    j = np.zeros(j_shape[:1] + (2 + at,) + j_shape[1:])
     with pytest.raises(ValueError, match="does not match"):
-        divergence_residual_of_slices(iter(slices), (0.1,) * 4)
+        numerics.divergence_residual(rho, j, (0.1,) * 4)
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
 @pytest.mark.parametrize("part", ["rho", "j"])
 def test_slice_residual_refuses_a_complex_slice(part, dtype):
-    # the float64 cast would drop the imaginary part
-    slices = _slices(3)
-    rho, j = slices[1]
-    slices[1] = (rho.astype(dtype), j) if part == "rho" else (rho, j.astype(dtype))
+    # the float64 read would drop the imaginary part
+    rho, j = _stencil(3)
+    rho, j = (rho.astype(dtype), j) if part == "rho" else (rho, j.astype(dtype))
     with pytest.raises(TypeError, match=f"must be real, got {np.dtype(dtype)}$"):
-        divergence_residual_of_slices(iter(slices), (0.1,) * 4)
+        numerics.divergence_residual(rho, j, (0.1,) * 4)
 
 
 def test_slice_residual_rejects_slices_of_differing_shapes():
-    slices = _slices(3) + _slices(1, (4, 4, 5))
+    rho, j = _stencil(4, (4, 4, 5))
     with pytest.raises(ValueError, match="does not match"):
-        divergence_residual_of_slices(iter(slices), (0.1,) * 4)
+        numerics.divergence_residual(rho, _stencil(4)[1], (0.1,) * 4)
     with pytest.raises(ValueError, match="spacings"):
-        divergence_residual_of_slices(iter(_slices(3)), (0.1,) * 3)
+        numerics.divergence_residual(rho, j, (0.1,) * 3)
 
 
 @pytest.mark.parametrize("t0", range(5))
@@ -707,4 +706,5 @@ def test_slice_residual_sees_an_impulse_in_every_slice(field, t0):
     (rho if axis == 0 else j[axis - 1])[t0, 2, 2, 2] = 1.0
     seen = axis == 0 or 1 <= t0 <= 3
     expected = 1.0 / (2.0 * spacings[axis]) if seen else 0.0
+    assert numerics.divergence_residual(rho, j, spacings) == expected
     assert divergence_residual(rho, j, spacings) == expected

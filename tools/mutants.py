@@ -65,59 +65,78 @@ CACHE = "each Gauss-Legendre rule built once per process (checked, then looked u
 REFUSED = "inputs refused before a cast or a store hides them"
 AXES = ("continuity on (n, 3, 3) boxes (hand-run: each flips both order rows at "
         "the parent and at the change)")
+WHOLE = ("continuity through the one whole-stencil residual of the CLI and "
+         "criterion 4")
+GONE = "the three-slice window was removed; numerics.divergence_residual differences "
 
 TABLE = (
-    # --- the continuity window -------------------------------------------------
+    # --- the continuity window ---------------------------------------------------
     Mutant("window_rho_after_is_the_middle_slice", WINDOW,
            "d0 rho is differenced over slices t-1 and t+1",
-           NUM, "(before, _), (_, flux), (after, _) = window",
-           "(before, _), (after, flux), (_, _) = window"),
+           obsolete=GONE + "whole arrays; residual_time_upper_is_the_middle_slice "
+           "is its analog"),
     Mutant("window_flux_from_slice_t_minus_1", WINDOW,
            "div j is taken on the middle slice of the window",
-           NUM, "(before, _), (_, flux), (after, _) = window",
-           "(before, flux), (_, _), (after, _) = window"),
+           obsolete=GONE + "whole arrays; residual_flux_from_slice_t_minus_1 is its "
+           "analog"),
     Mutant("window_last_residual_dropped", WINDOW,
            "every interior time slice enters the max-norm",
-           NUM, "return float(np.max(peaks))",
-           "return float(np.max(peaks[:-1] or peaks))"),
+           obsolete=GONE + "whole arrays; residual_last_interior_time_node_dropped "
+           "is its analog"),
     Mutant("window_4d_adapter_last_slice_dropped", WINDOW,
            "the 4D adapter feeds every time slice",
            obsolete="the 4D numerics.divergence_residual adapter was removed; "
            "FourCurrent.divergence_residual feeds the slices now (next entry)"),
     Mutant("four_current_last_slice_dropped", WINDOW + "; analog of the 4D adapter",
-           "FourCurrent.divergence_residual feeds every time slice",
-           FOPS, "zip(self.rho, self.j.swapaxes(0, 1))",
-           "zip(self.rho[:-1], self.j.swapaxes(0, 1))"),
+           "FourCurrent.divergence_residual passes every time slice",
+           FOPS, "numerics.divergence_residual(self.rho, self.j, self.spacings)",
+           "numerics.divergence_residual(self.rho[:-1], self.j[:, :-1], "
+           "self.spacings)"),
     Mutant("dirac_stencil_last_time_node_dropped", WINDOW,
-           "the Dirac stencil yields every time node",
-           CLI, "for t in np.arange(nt) * dt:  # (rho, j) one time slice at a time",
-           "for t in (np.arange(nt) * dt)[:-1]:"),
+           "the Dirac stencil carries every time node",
+           CLI, "[w.energy for w in waves], shape, h, nt, dt)",
+           "[w.energy for w in waves], shape, h, nt - 1, dt)"),
     Mutant("window_advanced_twice", WINDOW + "; the window is now a list",
            "each slice enters the window once",
-           NUM, "window = window[-2:] + [(rho_t, j_t)]",
-           "window = window[-1:] + [(rho_t, j_t)] * 2"),
+           obsolete=GONE + "whole arrays, so no slice can enter twice"),
+    # --- the whole-stencil residual ----------------------------------------------
+    Mutant("residual_time_upper_is_the_middle_slice",
+           WHOLE + "; analog of window_rho_after_is_the_middle_slice",
+           "d0 rho is differenced over slices t-1 and t+1",
+           NUM, "upper = inner[:axis] + (slice(2, None),) + inner[axis + 1 :]",
+           "upper = inner[:axis] + (slice(1, -1) if axis == 0 else slice(2, None),)"
+           " + inner[axis + 1 :]"),
+    Mutant("residual_flux_from_slice_t_minus_1",
+           WHOLE + "; analog of window_flux_from_slice_t_minus_1",
+           "div j is taken on slice t",
+           NUM, "diff = f[upper] - f[lower]",
+           "f = f if axis == 0 else np.roll(f, 1, axis=0)\n"
+           "        diff = f[upper] - f[lower]"),
+    Mutant("residual_last_interior_time_node_dropped",
+           WHOLE + "; analog of window_last_residual_dropped",
+           "every interior time node enters the max-norm",
+           NUM, "return float(np.max(np.abs(total)))",
+           "return float(np.max(np.abs(total[:-1])))"),
     # --- one axis of the residual ----------------------------------------------
     Mutant("residual_y_spacing_halved", AXES,
            "the y difference spans two y spacings",
-           NUM, "diff /= 2.0 * spacings[axis + 1]",
-           "diff /= (1.0 if axis == 1 else 2.0) * spacings[axis + 1]"),
+           NUM, "diff /= 2.0 * spacings[axis]",
+           "diff /= (1.0 if axis == 2 else 2.0) * spacings[axis]"),
     Mutant("residual_z_spacing_halved", AXES,
            "the z difference spans two z spacings",
-           NUM, "diff /= 2.0 * spacings[axis + 1]",
-           "diff /= (1.0 if axis == 2 else 2.0) * spacings[axis + 1]"),
+           NUM, "diff /= 2.0 * spacings[axis]",
+           "diff /= (1.0 if axis == 3 else 2.0) * spacings[axis]"),
     Mutant("residual_z_flux_dropped", AXES,
            "div j takes the z flux term",
-           NUM, "        for axis in range(3):\n",
-           "        for axis in range(2):\n"),
+           NUM, "    for axis in (1, 2, 3):\n",
+           "    for axis in (1, 2):\n"),
     # --- one sample per wave per stencil, one product per current term --------
     Mutant("dirac_stencil_phase_sign", STENCIL,
            "each Dirac slice carries e^{-i E t}",
-           CLI, "psi += sample * cmath.exp(-1j * wave.energy * t)",
-           "psi += sample * cmath.exp(+1j * wave.energy * t)"),
+           CLI, "[w.energy for w in waves]", "[-w.energy for w in waves]"),
     Mutant("kg_stencil_phase_sign", STENCIL,
            "each KG slice carries e^{-i omega t}",
-           CLI, "base = sample * cmath.exp(-1j * wave.omega * t)",
-           "base = sample * cmath.exp(+1j * wave.omega * t)"),
+           CLI, "[w.omega for w in waves]", "[-w.omega for w in waves]"),
     Mutant("spatial_sample_at_t_equals_h", STENCIL,
            "each wave is sampled at t = 0, where its time factor is exactly 1 "
            "(h equals dt on both order stencils)",
@@ -313,8 +332,11 @@ TABLE = (
            ""),
     Mutant("window_dtype_float_dropped", FORMATS,
            "each slice is read as float64",
-           NUM, "rho_t, j_t = np.asarray(rho_t, dtype=float), np.asarray(j_t, dtype=float)",
-           "rho_t, j_t = np.asarray(rho_t), np.asarray(j_t)"),
+           obsolete=GONE + "whole arrays; residual_dtype_float_dropped is its analog"),
+    Mutant("residual_dtype_float_dropped", WHOLE + "; analog of window_dtype_float_dropped",
+           "rho and j are read as float64",
+           NUM, "rho, j = np.asarray(rho, dtype=float), np.asarray(j, dtype=float)",
+           "rho, j = np.asarray(rho), np.asarray(j)"),
     # --- each Gauss-Legendre rule built once per process -----------------------
     Mutant("rule_arrays_writable", CACHE,
            "the shared nodes and weights cannot be written",

@@ -639,6 +639,10 @@ def test_divergence_residual_validation():
             )
 
 
+# numerics.divergence_residual on whole arrays; each "slice" below is a time
+# slice of one (rho, j) stencil
+
+
 def _stencil(nt, shape=(4, 4, 4)):
     """(rho, j) of a static uniform current on nt time slices of ``shape``."""
     return np.ones((nt,) + shape), np.zeros((3, nt) + shape)
